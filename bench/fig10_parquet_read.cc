@@ -51,7 +51,8 @@ void Fig10b() {
 
   auto snap = env->table->GetSnapshot().MoveValue();
   auto reader = format::FileReader::Open(env->store.get(),
-                                         snap.files[0].path, nullptr)
+                                         snap.files[0].path,
+                                         snap.files[0].bytes, nullptr)
                     .MoveValue();
   int col = env->table->schema().FindColumn("body");
   format::PageTable table;

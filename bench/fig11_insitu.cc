@@ -64,9 +64,9 @@ int main() {
 
   // Average page and chunk sizes of the uuid column.
   auto snap = env->table->GetSnapshot().MoveValue();
-  auto reader =
-      format::FileReader::Open(env->store.get(), snap.files[0].path, nullptr)
-          .MoveValue();
+  auto reader = format::FileReader::Open(env->store.get(), snap.files[0].path,
+                                         snap.files[0].bytes, nullptr)
+                    .MoveValue();
   int col = env->table->schema().FindColumn("uuid");
   const auto& cc0 = reader->meta().row_groups[0].columns[col];
   // At paper scale, Parquet row groups are 128MB and the indexed column

@@ -9,8 +9,9 @@
 //   * batching cuts physical index GETs by >= 2x at equal offered load,
 //   * batched p99 latency is no worse than unbatched,
 //   * both runs reconcile EXACTLY: every per-query traced GET is accounted
-//     for by one cache outcome (hits + misses + coalesced + wave_hits),
-//     with zero errors and zero sheds.
+//     for by its cache outcomes (hits + misses + coalesced + wave_hits, less
+//     the pages a coalesced run served beyond its first), with zero errors
+//     and zero sheds.
 // Results land in BENCH_serve.json (schema-checked by
 // tools/check_bench_json.py).
 #include <cstdio>
@@ -88,8 +89,8 @@ MultiTenantSpec WorkloadSpec() {
 
 struct RunResult {
   workload::ServeLoopReport report;
-  uint64_t physical_gets = 0;  ///< Cache misses: GETs that hit the store.
-  uint64_t logical_gets = 0;   ///< hits + misses + coalesced + wave_hits.
+  uint64_t physical_gets = 0;  ///< GETs the cache sent to the store.
+  uint64_t logical_gets = 0;   ///< Outcomes less cache_run_merged.
   uint64_t wave_hits = 0;
   uint64_t coalesced = 0;
   uint64_t waves = 0;
@@ -145,11 +146,12 @@ bool RunOnce(size_t batch_max, obs::MetricsRegistry* registry,
   engine.Shutdown();  // Joins the dispatcher: every wave is closed.
 
   const objectstore::IoStats& cs = client.cache()->stats();
-  out->physical_gets = cs.cache_misses.load();
+  out->physical_gets = cs.gets.load();
   out->wave_hits = cs.cache_wave_hits.load();
   out->coalesced = cs.cache_coalesced.load();
   out->logical_gets = cs.cache_hits.load() + cs.cache_misses.load() +
-                      out->coalesced + out->wave_hits;
+                      out->coalesced + out->wave_hits -
+                      cs.cache_run_merged.load();
   out->waves = engine.stats().waves.load();
   out->p50 =
       workload::PercentileMicros(out->report.overall.latencies_micros, 0.5);
@@ -178,7 +180,8 @@ bool RunOnce(size_t batch_max, obs::MetricsRegistry* registry,
     return false;
   }
   // THE reconciliation invariant: Σ per-query traced GETs == Δ(cache hits
-  // + misses + coalesced + wave_hits). Exact, or the run is invalid.
+  // + misses + coalesced + wave_hits - run_merged). Exact, or the run is
+  // invalid.
   if (out->report.traced_gets != out->logical_gets) {
     std::fprintf(stderr,
                  "FAIL: batch_max=%zu: traced %llu GETs but the cache "

@@ -60,7 +60,7 @@ Status BruteForceEngine::ScanColumn(
   std::vector<size_t> task_reader;
   for (const lake::DataFile& f : snap.files) {
     ROTTNEST_ASSIGN_OR_RETURN(std::unique_ptr<format::FileReader> reader,
-                              format::FileReader::Open(store_, f.path,
+                              format::FileReader::Open(store_, f.path, f.bytes,
                                                        nullptr));
     const format::FileMeta& meta = reader->meta();
     for (size_t g = 0; g < meta.row_groups.size(); ++g) {

@@ -23,7 +23,7 @@ Result<std::unique_ptr<DedicatedService>> DedicatedService::Ingest(
   ROTTNEST_ASSIGN_OR_RETURN(lake::Snapshot snap, table->GetSnapshot());
   for (const lake::DataFile& f : snap.files) {
     ROTTNEST_ASSIGN_OR_RETURN(std::unique_ptr<format::FileReader> reader,
-                              format::FileReader::Open(store, f.path,
+                              format::FileReader::Open(store, f.path, f.bytes,
                                                        nullptr));
     format::ColumnVector uuids, texts, vecs;
     ROTTNEST_RETURN_NOT_OK(reader->ReadColumn(uuid_idx, nullptr, &uuids));

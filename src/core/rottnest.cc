@@ -5,6 +5,7 @@
 #include <cctype>
 #include <cstdio>
 #include <map>
+#include <mutex>
 #include <regex>
 #include <set>
 
@@ -14,6 +15,7 @@
 #include "index/ivfpq/kmeans.h"
 #include "index/keyword/keyword_index.h"
 #include "index/trie/trie_index.h"
+#include "objectstore/read_batch.h"
 
 namespace rottnest::core {
 
@@ -50,31 +52,97 @@ std::string ValueAt(const ColumnVector& col, size_t row) {
   return {};
 }
 
-/// Caches deletion vectors per data file during one search.
+/// The deletion vectors one search needs, read through the client cache.
+/// DV objects are write-once and uniquely named (`dv/<name>.dv`; a delete
+/// writes a NEW object and commits a new DataFile::dv_path), so a cached
+/// copy can never be stale. Loads never run on their own: Queue() adds the
+/// missing DVs to a read wave the caller issues anyway — the page probe,
+/// or a scanned file's footer open — and Load() parses what came back.
+/// Thread-safe: per-file scan tasks load concurrently.
 class DvCache {
  public:
-  DvCache(lake::Table* table, const Snapshot& snapshot)
-      : table_(table), snapshot_(snapshot) {}
+  explicit DvCache(const Snapshot& snapshot) : snapshot_(snapshot) {}
+
+  /// Appends a whole-object read of the DV of each of `files` that has one
+  /// and is not loaded yet. Returns the DV keys queued, aligned with the
+  /// requests appended.
+  std::vector<std::string> Queue(const std::vector<std::string>& files,
+                                 std::vector<objectstore::RangeRequest>* reqs) {
+    std::vector<std::string> queued;
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const std::string& f : files) {
+      const DataFile* df = snapshot_.FindFile(f);
+      if (df == nullptr || df->dv_path.empty()) continue;
+      if (loaded_.count(df->dv_path) != 0) continue;
+      if (std::find(queued.begin(), queued.end(), df->dv_path) !=
+          queued.end()) {
+        continue;
+      }
+      queued.push_back(df->dv_path);
+      reqs->push_back({df->dv_path, 0, 0});
+    }
+    return queued;
+  }
+
+  /// Parses the bodies read for Queue()'s keys (`bodies[i]` is queued[i]).
+  Status Load(const std::vector<std::string>& queued, const Buffer* bodies) {
+    for (size_t i = 0; i < queued.size(); ++i) {
+      lake::DeletionVector dv;
+      ROTTNEST_RETURN_NOT_OK(
+          lake::DeletionVector::Deserialize(Slice(bodies[i]), &dv));
+      std::lock_guard<std::mutex> lock(mu_);
+      loaded_.emplace(queued[i], std::move(dv));
+    }
+    return Status::OK();
+  }
+
+  /// The deletion vector of `file` (empty when it has none). A file whose
+  /// DV was never loaded is an Internal error, never a silently live row.
+  /// The pointer stays valid for the cache's lifetime.
+  Result<const lake::DeletionVector*> For(const std::string& file) const {
+    static const lake::DeletionVector kNone;
+    const DataFile* df = snapshot_.FindFile(file);
+    if (df == nullptr || df->dv_path.empty()) return &kNone;
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = loaded_.find(df->dv_path);
+    if (it == loaded_.end()) {
+      return Status::Internal("deletion vector not loaded: " + df->dv_path);
+    }
+    return &it->second;
+  }
 
   /// True if (file, row) is deleted in the snapshot.
-  Result<bool> IsDeleted(const std::string& file, uint64_t row) {
-    auto it = cache_.find(file);
-    if (it == cache_.end()) {
-      const DataFile* df = snapshot_.FindFile(file);
-      lake::DeletionVector dv;
-      if (df != nullptr) {
-        ROTTNEST_RETURN_NOT_OK(table_->ReadDeletionVector(*df, &dv));
-      }
-      it = cache_.emplace(file, std::move(dv)).first;
-    }
-    return it->second.Contains(row);
+  Result<bool> IsDeleted(const std::string& file, uint64_t row) const {
+    ROTTNEST_ASSIGN_OR_RETURN(const lake::DeletionVector* dv, For(file));
+    return dv->Contains(row);
   }
 
  private:
-  lake::Table* table_;
   const Snapshot& snapshot_;
-  std::map<std::string, lake::DeletionVector> cache_;
+  mutable std::mutex mu_;
+  std::map<std::string, lake::DeletionVector> loaded_;  ///< By DV key.
 };
+
+/// In-situ probe (paper §IV-B step 2): reads the candidate pages and the
+/// not-yet-loaded deletion vectors of their files in ONE parallel wave
+/// (byte-adjacent pages share a GET), then decodes the pages.
+Status ProbePages(objectstore::ObjectStore* store, ThreadPool* pool,
+                  const std::vector<PageFetch>& fetches,
+                  const ColumnSchema& column_schema, DvCache* dvs,
+                  objectstore::IoTrace* trace,
+                  std::vector<ColumnVector>* out) {
+  std::vector<objectstore::RangeRequest> reqs = format::PageRequests(fetches);
+  std::vector<std::string> files;
+  files.reserve(fetches.size());
+  for (const PageFetch& f : fetches) files.push_back(f.key);
+  std::vector<std::string> dv_keys = dvs->Queue(files, &reqs);
+  std::vector<Buffer> raw;
+  ROTTNEST_RETURN_NOT_OK(
+      objectstore::ReadBatch(store, reqs, pool, trace, &raw));
+  ROTTNEST_RETURN_NOT_OK(dvs->Load(dv_keys, raw.data() + fetches.size()));
+  raw.resize(fetches.size());
+  return format::DecodePages(fetches, raw, column_schema, out);
+}
 
 }  // namespace
 
@@ -90,12 +158,14 @@ namespace {
 /// Applies the structured-attribute ScanRange (paper §VI): prunes row
 /// groups via min/max statistics and verifies the attribute in situ for
 /// candidate rows. One instance per search; caches readers and attribute
-/// chunks per (file, row group).
+/// chunks per (file, row group). Thread-safe (per-file scan tasks share
+/// it); readers open at the snapshot's recorded file sizes.
 class RangeFilter {
  public:
-  RangeFilter(objectstore::ObjectStore* store, const format::Schema& schema,
+  RangeFilter(objectstore::ObjectStore* store, const Snapshot& snapshot,
+              const format::Schema& schema,
               const std::optional<ScanRange>& range)
-      : store_(store) {
+      : store_(store), snapshot_(snapshot) {
     if (!range.has_value()) return;
     col_idx_ = schema.FindColumn(range->column);
     range_ = *range;
@@ -125,6 +195,7 @@ class RangeFilter {
   Result<bool> RowInRange(const std::string& file, uint64_t row,
                           objectstore::IoTrace* trace) {
     if (!active_) return true;
+    std::lock_guard<std::mutex> lock(mu_);
     ROTTNEST_ASSIGN_OR_RETURN(format::FileReader * reader, Reader(file, trace));
     const format::FileMeta& meta = reader->meta();
     // Find the row group containing `row`.
@@ -165,15 +236,19 @@ class RangeFilter {
                                      objectstore::IoTrace* trace) {
     auto it = readers_.find(file);
     if (it == readers_.end()) {
-      ROTTNEST_ASSIGN_OR_RETURN(std::unique_ptr<format::FileReader> r,
-                                format::FileReader::Open(store_, file,
-                                                         trace));
+      const DataFile* df = snapshot_.FindFile(file);
+      if (df == nullptr) return Status::NotFound("not in snapshot: " + file);
+      ROTTNEST_ASSIGN_OR_RETURN(
+          std::unique_ptr<format::FileReader> r,
+          format::FileReader::Open(store_, file, df->bytes, trace));
       it = readers_.emplace(file, std::move(r)).first;
     }
     return it->second.get();
   }
 
   objectstore::ObjectStore* store_;
+  const Snapshot& snapshot_;
+  std::mutex mu_;  ///< Guards readers_ and chunks_.
   bool active_ = false;
   int col_idx_ = -1;
   ScanRange range_;
@@ -303,19 +378,30 @@ void MarkCutShort(SearchResult* result, std::string what, const Status& s) {
 }
 
 /// Scans one file's column row by row, honoring the RangeFilter's row-group
-/// pruning and per-row attribute check. `visit(row, value)` runs for rows
-/// passing the range. *scanned reports whether any row group was read. The
-/// operation deadline is checked per row group (page batch), so one huge
-/// file cannot blow past the time budget.
+/// pruning and per-row attribute check and the file's deletion vector:
+/// `visit(row, value)` runs for the live rows passing the range. The sized
+/// footer open (no HEAD) and the file's DV load share one read wave.
+/// *scanned reports whether any row group was read. The operation deadline
+/// is checked per row group (page batch), so one huge file cannot blow
+/// past the time budget.
 Status ScanFileRows(
-    objectstore::ObjectStore* store, const std::string& file, int col_idx,
-    RangeFilter* rf, const Deadline& deadline, objectstore::IoTrace* trace,
-    bool* scanned,
+    objectstore::ObjectStore* store, ThreadPool* pool, const DataFile& file,
+    int col_idx, RangeFilter* rf, DvCache* dvs, const Deadline& deadline,
+    objectstore::IoTrace* trace, bool* scanned,
     const std::function<Status(uint64_t, const std::string&)>& visit) {
   *scanned = false;
+  std::vector<objectstore::RangeRequest> reqs = {
+      format::FileReader::FooterRequest(file.path, file.bytes)};
+  std::vector<std::string> dv_keys = dvs->Queue({file.path}, &reqs);
+  std::vector<Buffer> raw;
+  Status read = objectstore::ReadBatch(store, reqs, pool, trace, &raw);
   ROTTNEST_ASSIGN_OR_RETURN(
       std::unique_ptr<format::FileReader> reader,
-      format::FileReader::Open(store, file, trace));
+      format::FileReader::OpenFromTail(store, file.path, file.bytes, read,
+                                       raw[0], trace));
+  ROTTNEST_RETURN_NOT_OK(dvs->Load(dv_keys, raw.data() + 1));
+  ROTTNEST_ASSIGN_OR_RETURN(const lake::DeletionVector* dv,
+                            dvs->For(file.path));
   const format::FileMeta& meta = reader->meta();
   for (size_t g = 0; g < meta.row_groups.size(); ++g) {
     ROTTNEST_RETURN_NOT_OK(deadline.Check("scan"));
@@ -326,8 +412,10 @@ Status ScanFileRows(
     *scanned = true;
     for (size_t r = 0; r < col.size(); ++r) {
       uint64_t row = rg.first_row + r;
+      if (dv->Contains(row)) continue;
       if (rf->active()) {
-        ROTTNEST_ASSIGN_OR_RETURN(bool in, rf->RowInRange(file, row, trace));
+        ROTTNEST_ASSIGN_OR_RETURN(bool in, rf->RowInRange(file.path, row,
+                                                          trace));
         if (!in) continue;
       }
       ROTTNEST_RETURN_NOT_OK(visit(row, ValueAt(col, r)));
@@ -336,36 +424,37 @@ Status ScanFileRows(
   return Status::OK();
 }
 
-/// Runs `task(i, trace_i)` for every applicable index of a plan
-/// concurrently on `pool` — fan-out ACROSS indexes, on top of whatever
-/// within-index parallelism each task already uses. `max_width` bounds the
-/// concurrency (0 = all n at once, the §V-B default); at a bound the
-/// per-task IoTraces are merged in waves of `max_width` chains, otherwise
-/// zipped via MergeParallel, so the recorded dependent-round depth honestly
-/// reflects the width actually run — the deepest single chain at full
-/// width, not the sum over indexes (§V-B: width is cheap, depth is not).
-/// When `op` is tracing, every task also gets a `label(i)` child span under
-/// the op root carrying its trace totals as exclusive I/O; spans are
-/// created and attributed in plan order on the calling thread, so the span
-/// tree is deterministic regardless of how the tasks interleave. Statuses
-/// come back positionally so the caller can apply its degraded-index
-/// policy per entry in plan order.
+/// Runs `task(i, trace_i)` for i in [0, n) concurrently on `pool` — the
+/// fan-out ACROSS indexes (or across the files of a scan), on top of
+/// whatever within-task parallelism each task already uses. `max_width`
+/// bounds the concurrency (0 = all n at once, the §V-B default); at a
+/// bound the per-task IoTraces are merged in waves of `max_width` chains,
+/// otherwise zipped via MergeParallel, so the recorded dependent-round
+/// depth honestly reflects the width actually run — the deepest single
+/// chain at full width, not the sum over tasks (§V-B: width is cheap,
+/// depth is not). When `op` is non-null and tracing, every task also gets
+/// a `label(i)` child span under the op root carrying its trace totals as
+/// exclusive I/O; spans are created and attributed in plan order on the
+/// calling thread, so the span tree is deterministic regardless of how the
+/// tasks interleave. Statuses come back positionally so the caller can
+/// apply its degraded-index policy per entry in plan order.
 ///
 /// `deadline` is the operation deadline: every task re-installs a copy as
 /// its pool thread's ambient deadline (thread-locals do not follow work
 /// onto pool threads), so the store stack below — retry backoff, hedging —
 /// observes it; a task whose start finds the deadline already expired is
-/// cut short with DeadlineExceeded without running, so an expired fan-out
-/// drains at task granularity instead of paying n full index queries.
-std::vector<Status> FanOutIndexQueries(
+/// cut short with DeadlineExceeded (naming `what`) without running, so an
+/// expired fan-out drains at task granularity instead of paying n full
+/// tasks.
+std::vector<Status> FanOut(
     ThreadPool* pool, size_t n, size_t max_width, const Deadline& deadline,
-    objectstore::IoTrace* trace, internal::OpObs* op,
+    const char* what, objectstore::IoTrace* trace, internal::OpObs* op,
     const std::function<std::string(size_t)>& label,
     const std::function<Status(size_t, objectstore::IoTrace*)>& task) {
   std::vector<Status> statuses(n);
   if (n == 0) return statuses;
   auto guarded_task = [&](size_t i, objectstore::IoTrace* t) -> Status {
-    ROTTNEST_RETURN_NOT_OK(deadline.Check("index query"));
+    ROTTNEST_RETURN_NOT_OK(deadline.Check(what));
     ScopedOpDeadline ambient(deadline);
     return task(i, t);
   };
@@ -415,6 +504,97 @@ std::vector<Status> FanOutIndexQueries(
   }
   return statuses;
 }
+
+/// Verified matches of one search, deduplicated by (file, row) across the
+/// probe and scan paths.
+class MatchSet {
+ public:
+  explicit MatchSet(std::vector<RowMatch>* out) : out_(out) {}
+  void Add(RowMatch m) {
+    if (seen_.insert({m.file, m.row}).second) out_->push_back(std::move(m));
+  }
+  size_t size() const { return out_->size(); }
+
+ private:
+  std::vector<RowMatch>* out_;
+  std::set<std::pair<std::string, uint64_t>> seen_;
+};
+
+/// A scan's row predicate: true when `value` matches. Scoring scans set
+/// *distance.
+using RowPredicate =
+    std::function<bool(const std::string& value, float* distance)>;
+
+/// The per-search inputs of the brute-scan fallback.
+struct FileScan {
+  objectstore::ObjectStore* store;
+  ThreadPool* pool;
+  int col_idx;
+  RangeFilter* rf;
+  DvCache* dvs;
+  const Deadline& deadline;
+  size_t width;  ///< Fan-out width across files (0 = all at once).
+  RowPredicate pred;
+
+  /// Scans `f`, appending its matches in row order to `out` — at most
+  /// `limit` of them (the predicate is not run past it).
+  Status One(const DataFile& f, objectstore::IoTrace* trace,
+             std::vector<RowMatch>* out, bool* scanned,
+             size_t limit = SIZE_MAX) const {
+    return ScanFileRows(
+        store, pool, f, col_idx, rf, dvs, deadline, trace, scanned,
+        [&](uint64_t row, const std::string& v) -> Status {
+          float dist = 0;
+          if (out->size() < limit && pred(v, &dist)) {
+            out->push_back({f.path, row, v, dist});
+          }
+          return Status::OK();
+        });
+  }
+
+  /// Scans every file of `files` concurrently (one task per file, traces
+  /// merged like the index fan-out), then adds each file's matches to
+  /// `sink` in `files` order. Rows a cut-short file verified before the cut
+  /// are kept; the first failure in `files` order is returned.
+  Status All(const std::vector<const DataFile*>& files,
+             objectstore::IoTrace* trace, MatchSet* sink,
+             size_t* files_scanned) const {
+    std::vector<std::vector<RowMatch>> found(files.size());
+    std::vector<char> scanned(files.size(), 0);
+    std::vector<Status> statuses = FanOut(
+        pool, files.size(), width, deadline, "scan", trace, nullptr,
+        nullptr, [&](size_t i, objectstore::IoTrace* t) -> Status {
+          bool did = false;
+          Status s = One(*files[i], t, &found[i], &did);
+          scanned[i] = did;
+          return s;
+        });
+    Status first;
+    for (size_t i = 0; i < files.size(); ++i) {
+      for (RowMatch& m : found[i]) sink->Add(std::move(m));
+      if (scanned[i]) ++*files_scanned;
+      if (first.ok() && !statuses[i].ok()) first = statuses[i];
+    }
+    return first;
+  }
+
+  /// The top-k-conditional fallback: scans `files` one at a time while
+  /// `sink` holds fewer than k matches.
+  Status UntilK(const std::vector<DataFile>& files, size_t k,
+                objectstore::IoTrace* trace, MatchSet* sink,
+                size_t* files_scanned) const {
+    for (const DataFile& f : files) {
+      if (sink->size() >= k) break;
+      std::vector<RowMatch> found;
+      bool did = false;
+      Status s = One(f, trace, &found, &did, k - sink->size());
+      for (RowMatch& m : found) sink->Add(std::move(m));
+      if (did) ++*files_scanned;
+      ROTTNEST_RETURN_NOT_OK(s);
+    }
+    return Status::OK();
+  }
+};
 
 /// Resolved fan-out width of a search (reported in Stats::parallelism).
 size_t ResolvedFanOut(size_t n, size_t max_width) {
@@ -608,7 +788,7 @@ Status StageFile(objectstore::ObjectStore* store, const DataFile& f,
   }
   // If the file was garbage-collected meanwhile, abort and retry later
   // (paper §IV-A step 2).
-  auto reader_r = format::FileReader::Open(store, f.path, trace);
+  auto reader_r = format::FileReader::Open(store, f.path, f.bytes, trace);
   if (!reader_r.ok()) {
     if (reader_r.status().IsNotFound()) {
       return Status::Aborted("data file vanished during indexing: " + f.path);
@@ -1018,14 +1198,6 @@ Status Rottnest::MakePlan(const std::string& column, IndexType type,
   return Status::OK();
 }
 
-Status Rottnest::ProbePages(const std::vector<PageFetch>& fetches,
-                            const ColumnSchema& column_schema,
-                            objectstore::IoTrace* trace,
-                            std::vector<ColumnVector>* out) {
-  return format::ReadPages(read_store(), fetches, column_schema, &pool_,
-                           trace, out);
-}
-
 namespace {
 
 /// Per-query miss log ("Cracking Vector Search Indexes", PAPERS.md): how
@@ -1063,22 +1235,23 @@ Result<SearchResult> Rottnest::ExecUuid(const std::string& column,
   }
   const ColumnSchema& col_schema =
       table_->schema().columns[plan.column_index];
-  RangeFilter rf(read_store(), table_->schema(), opts.range);
+  RangeFilter rf(read_store(), plan.snapshot, table_->schema(), opts.range);
   ROTTNEST_RETURN_NOT_OK(rf.Validate());
   index::Key128 key = index::KeyFromValue(value);
 
   SearchResult result;
   RecordUncovered(opts, plan.unindexed.size(), &result);
-  DvCache dvs(table_, plan.snapshot);
-  std::set<std::pair<std::string, uint64_t>> seen;
+  DvCache dvs(plan.snapshot);
+  MatchSet found(&result.matches);
 
   // Fan out: query the applicable index files concurrently, each task
   // collecting page fetches (filtered to the snapshot) into its own slot,
   // then aggregate in plan order. A failing index degrades to scanning its
   // covered files (below) rather than failing the whole query.
   std::vector<std::vector<PageFetch>> per_index(plan.indexes.size());
-  std::vector<Status> statuses = FanOutIndexQueries(
-      &pool_, plan.indexes.size(), opts.parallelism, deadline, trace, &op,
+  std::vector<Status> statuses = FanOut(
+      &pool_, plan.indexes.size(), opts.parallelism, deadline, "index query",
+      trace, &op,
       [&](size_t i) { return "index:" + plan.indexes[i].index_path; },
       [&](size_t i, objectstore::IoTrace* t) -> Status {
         const IndexEntry& entry = plan.indexes[i];
@@ -1128,7 +1301,8 @@ Result<SearchResult> Rottnest::ExecUuid(const std::string& column,
     auto probe = [&]() -> Status {
       ROTTNEST_RETURN_NOT_OK(deadline.Check("probe"));
       std::vector<ColumnVector> probed;
-      ROTTNEST_RETURN_NOT_OK(ProbePages(fetches, col_schema, trace, &probed));
+      ROTTNEST_RETURN_NOT_OK(ProbePages(read_store(), &pool_, fetches,
+                                        col_schema, &dvs, trace, &probed));
       result.pages_probed = fetches.size();
       for (size_t i = 0; i < fetches.size(); ++i) {
         for (size_t r = 0; r < probed[i].size(); ++r) {
@@ -1137,10 +1311,7 @@ Result<SearchResult> Rottnest::ExecUuid(const std::string& column,
             uint64_t row = fetches[i].page.first_row + r;
             ROTTNEST_ASSIGN_OR_RETURN(bool deleted,
                                       dvs.IsDeleted(fetches[i].key, row));
-            if (deleted) continue;
-            if (seen.insert({fetches[i].key, row}).second) {
-              result.matches.push_back({fetches[i].key, row, v, 0});
-            }
+            if (!deleted) found.Add({fetches[i].key, row, v, 0});
           }
         }
       }
@@ -1156,40 +1327,20 @@ Result<SearchResult> Rottnest::ExecUuid(const std::string& column,
 
   {
     internal::OpPhase phase(&op, "scan");
-    // Degraded fallback: files whose only index coverage failed are
+    // Degraded fallback first: files whose only index coverage failed are
     // scanned unconditionally (a fault-free query would have consulted
-    // their index regardless of k).
-    auto scan_for_value = [&](const std::string& file) -> Status {
-      bool scanned = false;
-      ROTTNEST_RETURN_NOT_OK(ScanFileRows(
-          read_store(), file, plan.column_index, &rf, deadline, trace,
-          &scanned,
-          [&](uint64_t row, const std::string& v) -> Status {
-            if (!(Slice(v) == value)) return Status::OK();
-            ROTTNEST_ASSIGN_OR_RETURN(bool deleted, dvs.IsDeleted(file, row));
-            if (deleted) return Status::OK();
-            if (seen.insert({file, row}).second) {
-              result.matches.push_back({file, row, v, 0});
-            }
-            return Status::OK();
-          }));
-      if (scanned) ++result.files_scanned;
-      return Status::OK();
-    };
+    // their index regardless of k), all at once. Then the unindexed
+    // fallback, one file at a time while top-k is unsatisfied.
+    FileScan fs{read_store(), &pool_, plan.column_index, &rf, &dvs, deadline,
+                opts.parallelism, [&](const std::string& v, float*) {
+                  return Slice(v) == value;
+                }};
     auto scan = [&]() -> Status {
       ROTTNEST_RETURN_NOT_OK(deadline.Check("scan"));
-      for (const DataFile* f : degraded.FilesToScan(plan.snapshot)) {
-        ROTTNEST_RETURN_NOT_OK(scan_for_value(f->path));
-      }
-      // Unindexed fallback: scan only if the exact-match top-k is
-      // unsatisfied.
-      if (result.matches.size() < k) {
-        for (const DataFile& f : plan.unindexed) {
-          ROTTNEST_RETURN_NOT_OK(scan_for_value(f.path));
-          if (result.matches.size() >= k) break;
-        }
-      }
-      return Status::OK();
+      ROTTNEST_RETURN_NOT_OK(fs.All(degraded.FilesToScan(plan.snapshot),
+                                    trace, &found, &result.files_scanned));
+      return fs.UntilK(plan.unindexed, k, trace, &found,
+                       &result.files_scanned);
     };
     Status scan_status = scan();
     if (IsCutShort(scan_status)) {
@@ -1223,19 +1374,20 @@ Result<SearchResult> Rottnest::ExecSubstring(const std::string& column,
   }
   const ColumnSchema& col_schema =
       table_->schema().columns[plan.column_index];
-  RangeFilter rf(read_store(), table_->schema(), opts.range);
+  RangeFilter rf(read_store(), plan.snapshot, table_->schema(), opts.range);
   ROTTNEST_RETURN_NOT_OK(rf.Validate());
 
   SearchResult result;
   RecordUncovered(opts, plan.unindexed.size(), &result);
-  DvCache dvs(table_, plan.snapshot);
-  std::set<std::pair<std::string, uint64_t>> seen;
+  DvCache dvs(plan.snapshot);
+  MatchSet found(&result.matches);
 
   // Fan out across the applicable FM-indexes (same shape as SearchUuid):
   // per-task fetch slots, plan-order aggregation, per-entry degradation.
   std::vector<std::vector<PageFetch>> per_index(plan.indexes.size());
-  std::vector<Status> statuses = FanOutIndexQueries(
-      &pool_, plan.indexes.size(), opts.parallelism, deadline, trace, &op,
+  std::vector<Status> statuses = FanOut(
+      &pool_, plan.indexes.size(), opts.parallelism, deadline, "index query",
+      trace, &op,
       [&](size_t i) { return "index:" + plan.indexes[i].index_path; },
       [&](size_t i, objectstore::IoTrace* t) -> Status {
         const IndexEntry& entry = plan.indexes[i];
@@ -1283,7 +1435,8 @@ Result<SearchResult> Rottnest::ExecSubstring(const std::string& column,
     auto probe = [&]() -> Status {
       ROTTNEST_RETURN_NOT_OK(deadline.Check("probe"));
       std::vector<ColumnVector> probed;
-      ROTTNEST_RETURN_NOT_OK(ProbePages(fetches, col_schema, trace, &probed));
+      ROTTNEST_RETURN_NOT_OK(ProbePages(read_store(), &pool_, fetches,
+                                        col_schema, &dvs, trace, &probed));
       result.pages_probed = fetches.size();
       for (size_t i = 0; i < fetches.size(); ++i) {
         for (size_t r = 0; r < probed[i].size(); ++r) {
@@ -1292,10 +1445,7 @@ Result<SearchResult> Rottnest::ExecSubstring(const std::string& column,
           uint64_t row = fetches[i].page.first_row + r;
           ROTTNEST_ASSIGN_OR_RETURN(bool deleted,
                                     dvs.IsDeleted(fetches[i].key, row));
-          if (deleted) continue;
-          if (seen.insert({fetches[i].key, row}).second) {
-            result.matches.push_back({fetches[i].key, row, v, 0});
-          }
+          if (!deleted) found.Add({fetches[i].key, row, v, 0});
         }
       }
       return rf.FilterMatches(&result.matches, trace);
@@ -1310,37 +1460,20 @@ Result<SearchResult> Rottnest::ExecSubstring(const std::string& column,
 
   {
     internal::OpPhase phase(&op, "scan");
-    // Degraded fallback first (unconditional), then the unindexed
-    // fallback (only if top-k is unsatisfied).
-    auto scan_for_pattern = [&](const std::string& file) -> Status {
-      bool scanned = false;
-      ROTTNEST_RETURN_NOT_OK(ScanFileRows(
-          read_store(), file, plan.column_index, &rf, deadline, trace,
-          &scanned,
-          [&](uint64_t row, const std::string& v) -> Status {
-            if (v.find(pattern) == std::string::npos) return Status::OK();
-            ROTTNEST_ASSIGN_OR_RETURN(bool deleted, dvs.IsDeleted(file, row));
-            if (deleted) return Status::OK();
-            if (seen.insert({file, row}).second) {
-              result.matches.push_back({file, row, v, 0});
-            }
-            return Status::OK();
-          }));
-      if (scanned) ++result.files_scanned;
-      return Status::OK();
-    };
+    // Degraded fallback first: files whose only index coverage failed are
+    // scanned unconditionally (a fault-free query would have consulted
+    // their index regardless of k), all at once. Then the unindexed
+    // fallback, one file at a time while top-k is unsatisfied.
+    FileScan fs{read_store(), &pool_, plan.column_index, &rf, &dvs, deadline,
+                opts.parallelism, [&](const std::string& v, float*) {
+                  return v.find(pattern) != std::string::npos;
+                }};
     auto scan = [&]() -> Status {
       ROTTNEST_RETURN_NOT_OK(deadline.Check("scan"));
-      for (const DataFile* f : degraded.FilesToScan(plan.snapshot)) {
-        ROTTNEST_RETURN_NOT_OK(scan_for_pattern(f->path));
-      }
-      if (result.matches.size() < k) {
-        for (const DataFile& f : plan.unindexed) {
-          ROTTNEST_RETURN_NOT_OK(scan_for_pattern(f.path));
-          if (result.matches.size() >= k) break;
-        }
-      }
-      return Status::OK();
+      ROTTNEST_RETURN_NOT_OK(fs.All(degraded.FilesToScan(plan.snapshot),
+                                    trace, &found, &result.files_scanned));
+      return fs.UntilK(plan.unindexed, k, trace, &found,
+                       &result.files_scanned);
     };
     Status scan_status = scan();
     if (IsCutShort(scan_status)) {
@@ -1383,12 +1516,12 @@ Result<SearchResult> Rottnest::ExecVector(const std::string& column,
   if (col_schema.fixed_len != dim * 4) {
     return Status::InvalidArgument("query dim does not match column");
   }
-  RangeFilter rf(read_store(), table_->schema(), opts.range);
+  RangeFilter rf(read_store(), plan.snapshot, table_->schema(), opts.range);
   ROTTNEST_RETURN_NOT_OK(rf.Validate());
 
   SearchResult result;
   RecordUncovered(opts, plan.unindexed.size(), &result);
-  DvCache dvs(table_, plan.snapshot);
+  DvCache dvs(plan.snapshot);
 
   // Gather approximate candidates across all index files — one fan-out
   // task per index, aggregated in plan order so the global refine cut is
@@ -1401,8 +1534,9 @@ Result<SearchResult> Rottnest::ExecVector(const std::string& column,
     float approx;
   };
   std::vector<std::vector<Cand>> per_index(plan.indexes.size());
-  std::vector<Status> statuses = FanOutIndexQueries(
-      &pool_, plan.indexes.size(), opts.parallelism, deadline, trace, &op,
+  std::vector<Status> statuses = FanOut(
+      &pool_, plan.indexes.size(), opts.parallelism, deadline, "index query",
+      trace, &op,
       [&](size_t i) { return "index:" + plan.indexes[i].index_path; },
       [&](size_t i, objectstore::IoTrace* t) -> Status {
         const IndexEntry& entry = plan.indexes[i];
@@ -1450,8 +1584,8 @@ Result<SearchResult> Rottnest::ExecVector(const std::string& column,
             [](const Cand& a, const Cand& b) { return a.approx < b.approx; });
   if (candidates.size() > refine) candidates.resize(refine);
 
-  std::set<std::pair<std::string, uint64_t>> seen;
   std::vector<RowMatch> matches;
+  MatchSet found(&matches);
   {
     internal::OpPhase phase(&op, "probe");
     auto probe = [&]() -> Status {
@@ -1466,7 +1600,8 @@ Result<SearchResult> Rottnest::ExecVector(const std::string& column,
         }
       }
       std::vector<ColumnVector> probed;
-      ROTTNEST_RETURN_NOT_OK(ProbePages(fetches, col_schema, trace, &probed));
+      ROTTNEST_RETURN_NOT_OK(ProbePages(read_store(), &pool_, fetches,
+                                        col_schema, &dvs, trace, &probed));
       result.pages_probed = fetches.size();
 
       for (const Cand& c : candidates) {
@@ -1477,9 +1612,7 @@ Result<SearchResult> Rottnest::ExecVector(const std::string& column,
             index::SquaredL2(query, index::VectorFromValue(raw), dim);
         uint64_t row = c.fetch.page.first_row + c.row_in_page;
         ROTTNEST_ASSIGN_OR_RETURN(bool deleted, dvs.IsDeleted(c.file, row));
-        if (deleted) continue;
-        if (!seen.insert({c.file, row}).second) continue;
-        matches.push_back({c.file, row, raw.ToString(), dist});
+        if (!deleted) found.Add({c.file, row, raw.ToString(), dist});
       }
       return rf.FilterMatches(&matches, trace);
     };
@@ -1495,7 +1628,14 @@ Result<SearchResult> Rottnest::ExecVector(const std::string& column,
     internal::OpPhase phase(&op, "scan");
     // Scoring queries must rank ALL data: unindexed files are always
     // scanned exhaustively (paper §IV-B step 3), and so are files whose
-    // only index coverage degraded.
+    // only index coverage degraded — all of them at once.
+    FileScan fs{read_store(), &pool_, plan.column_index, &rf, &dvs, deadline,
+                opts.parallelism,
+                [&](const std::string& v, float* dist) {
+                  *dist = index::SquaredL2(
+                      query, reinterpret_cast<const float*>(v.data()), dim);
+                  return true;
+                }};
     auto scan = [&]() -> Status {
       ROTTNEST_RETURN_NOT_OK(deadline.Check("scan"));
       std::vector<const DataFile*> to_scan;
@@ -1503,25 +1643,7 @@ Result<SearchResult> Rottnest::ExecVector(const std::string& column,
       for (const DataFile* f : degraded.FilesToScan(plan.snapshot)) {
         to_scan.push_back(f);
       }
-      for (const DataFile* f : to_scan) {
-        const std::string& path = f->path;
-        bool scanned = false;
-        ROTTNEST_RETURN_NOT_OK(ScanFileRows(
-            read_store(), path, plan.column_index, &rf, deadline, trace,
-            &scanned,
-            [&](uint64_t row, const std::string& v) -> Status {
-              float dist = index::SquaredL2(
-                  query, reinterpret_cast<const float*>(v.data()), dim);
-              ROTTNEST_ASSIGN_OR_RETURN(bool deleted,
-                                        dvs.IsDeleted(path, row));
-              if (deleted) return Status::OK();
-              if (!seen.insert({path, row}).second) return Status::OK();
-              matches.push_back({path, row, v, dist});
-              return Status::OK();
-            }));
-        if (scanned) ++result.files_scanned;
-      }
-      return Status::OK();
+      return fs.All(to_scan, trace, &found, &result.files_scanned);
     };
     Status scan_status = scan();
     if (IsCutShort(scan_status)) {
@@ -1596,32 +1718,22 @@ Result<SearchResult> Rottnest::ExecRegex(const std::string& column,
     ROTTNEST_RETURN_NOT_OK(
         MakePlan(column, IndexType::kFm, opts.snapshot, opts.trace, &plan));
   }
-  RangeFilter rf(read_store(), table_->schema(), opts.range);
+  RangeFilter rf(read_store(), plan.snapshot, table_->schema(), opts.range);
   ROTTNEST_RETURN_NOT_OK(rf.Validate());
-  DvCache dvs(table_, plan.snapshot);
+  DvCache dvs(plan.snapshot);
   SearchResult result;
   RecordUncovered(opts, plan.unindexed.size(), &result);
   {
     internal::OpPhase phase(&op, "scan");
+    MatchSet found(&result.matches);
+    FileScan fs{read_store(), &pool_, plan.column_index, &rf, &dvs, deadline,
+                opts.parallelism,
+                [&](const std::string& v, float*) {
+                  return std::regex_search(v, re);
+                }};
     auto scan = [&]() -> Status {
-      for (const DataFile& f : plan.snapshot.files) {
-        bool scanned = false;
-        ROTTNEST_RETURN_NOT_OK(ScanFileRows(
-            read_store(), f.path, plan.column_index, &rf, deadline,
-            opts.trace, &scanned,
-            [&](uint64_t row, const std::string& v) -> Status {
-              if (result.matches.size() >= k) return Status::OK();
-              if (!std::regex_search(v, re)) return Status::OK();
-              ROTTNEST_ASSIGN_OR_RETURN(bool deleted,
-                                        dvs.IsDeleted(f.path, row));
-              if (deleted) return Status::OK();
-              result.matches.push_back({f.path, row, v, 0});
-              return Status::OK();
-            }));
-        if (scanned) ++result.files_scanned;
-        if (result.matches.size() >= k) break;
-      }
-      return Status::OK();
+      return fs.UntilK(plan.snapshot.files, k, opts.trace, &found,
+                       &result.files_scanned);
     };
     Status scan_status = scan();
     if (IsCutShort(scan_status)) {
@@ -1674,7 +1786,7 @@ Result<SearchResult> Rottnest::ExecKeyword(const std::string& column,
   }
   const ColumnSchema& col_schema =
       table_->schema().columns[plan.column_index];
-  RangeFilter rf(read_store(), table_->schema(), opts.range);
+  RangeFilter rf(read_store(), plan.snapshot, table_->schema(), opts.range);
   ROTTNEST_RETURN_NOT_OK(rf.Validate());
 
   // The in-situ verification predicate: a row matches when its token set
@@ -1699,15 +1811,16 @@ Result<SearchResult> Rottnest::ExecKeyword(const std::string& column,
 
   SearchResult result;
   RecordUncovered(opts, plan.unindexed.size(), &result);
-  DvCache dvs(table_, plan.snapshot);
-  std::set<std::pair<std::string, uint64_t>> seen;
+  DvCache dvs(plan.snapshot);
+  MatchSet found(&result.matches);
 
   // Fan out across the applicable keyword indexes (same shape as
   // SearchUuid): per-task fetch slots, plan-order aggregation, per-entry
   // degradation.
   std::vector<std::vector<PageFetch>> per_index(plan.indexes.size());
-  std::vector<Status> statuses = FanOutIndexQueries(
-      &pool_, plan.indexes.size(), opts.parallelism, deadline, trace, &op,
+  std::vector<Status> statuses = FanOut(
+      &pool_, plan.indexes.size(), opts.parallelism, deadline, "index query",
+      trace, &op,
       [&](size_t i) { return "index:" + plan.indexes[i].index_path; },
       [&](size_t i, objectstore::IoTrace* t) -> Status {
         const IndexEntry& entry = plan.indexes[i];
@@ -1754,7 +1867,8 @@ Result<SearchResult> Rottnest::ExecKeyword(const std::string& column,
     auto probe = [&]() -> Status {
       ROTTNEST_RETURN_NOT_OK(deadline.Check("probe"));
       std::vector<ColumnVector> probed;
-      ROTTNEST_RETURN_NOT_OK(ProbePages(fetches, col_schema, trace, &probed));
+      ROTTNEST_RETURN_NOT_OK(ProbePages(read_store(), &pool_, fetches,
+                                        col_schema, &dvs, trace, &probed));
       result.pages_probed = fetches.size();
       for (size_t i = 0; i < fetches.size(); ++i) {
         for (size_t r = 0; r < probed[i].size(); ++r) {
@@ -1763,10 +1877,7 @@ Result<SearchResult> Rottnest::ExecKeyword(const std::string& column,
           uint64_t row = fetches[i].page.first_row + r;
           ROTTNEST_ASSIGN_OR_RETURN(bool deleted,
                                     dvs.IsDeleted(fetches[i].key, row));
-          if (deleted) continue;
-          if (seen.insert({fetches[i].key, row}).second) {
-            result.matches.push_back({fetches[i].key, row, v, 0});
-          }
+          if (!deleted) found.Add({fetches[i].key, row, v, 0});
         }
       }
       return rf.FilterMatches(&result.matches, trace);
@@ -1781,37 +1892,20 @@ Result<SearchResult> Rottnest::ExecKeyword(const std::string& column,
 
   {
     internal::OpPhase phase(&op, "scan");
-    // Degraded fallback first (unconditional), then the unindexed
-    // fallback (only if top-k is unsatisfied).
-    auto scan_for_terms = [&](const std::string& file) -> Status {
-      bool scanned = false;
-      ROTTNEST_RETURN_NOT_OK(ScanFileRows(
-          read_store(), file, plan.column_index, &rf, deadline, trace,
-          &scanned,
-          [&](uint64_t row, const std::string& v) -> Status {
-            if (!row_matches(v)) return Status::OK();
-            ROTTNEST_ASSIGN_OR_RETURN(bool deleted, dvs.IsDeleted(file, row));
-            if (deleted) return Status::OK();
-            if (seen.insert({file, row}).second) {
-              result.matches.push_back({file, row, v, 0});
-            }
-            return Status::OK();
-          }));
-      if (scanned) ++result.files_scanned;
-      return Status::OK();
-    };
+    // Degraded fallback first: files whose only index coverage failed are
+    // scanned unconditionally (a fault-free query would have consulted
+    // their index regardless of k), all at once. Then the unindexed
+    // fallback, one file at a time while top-k is unsatisfied.
+    FileScan fs{read_store(), &pool_, plan.column_index, &rf, &dvs, deadline,
+                opts.parallelism, [&](const std::string& v, float*) {
+                  return row_matches(v);
+                }};
     auto scan = [&]() -> Status {
       ROTTNEST_RETURN_NOT_OK(deadline.Check("scan"));
-      for (const DataFile* f : degraded.FilesToScan(plan.snapshot)) {
-        ROTTNEST_RETURN_NOT_OK(scan_for_terms(f->path));
-      }
-      if (result.matches.size() < k) {
-        for (const DataFile& f : plan.unindexed) {
-          ROTTNEST_RETURN_NOT_OK(scan_for_terms(f.path));
-          if (result.matches.size() >= k) break;
-        }
-      }
-      return Status::OK();
+      ROTTNEST_RETURN_NOT_OK(fs.All(degraded.FilesToScan(plan.snapshot),
+                                    trace, &found, &result.files_scanned));
+      return fs.UntilK(plan.unindexed, k, trace, &found,
+                       &result.files_scanned);
     };
     Status scan_status = scan();
     if (IsCutShort(scan_status)) {
@@ -1876,9 +1970,9 @@ Result<uint64_t> Rottnest::ExecCount(const std::string& column,
   // is an error — so the tail-tolerance contract does not apply here and
   // time_budget_micros is deliberately not plumbed through.
   std::vector<uint64_t> counts(exact_entries.size(), 0);
-  std::vector<Status> statuses = FanOutIndexQueries(
-      &pool_, exact_entries.size(), opts.parallelism, Deadline(), opts.trace,
-      &op,
+  std::vector<Status> statuses = FanOut(
+      &pool_, exact_entries.size(), opts.parallelism, Deadline(),
+      "index query", opts.trace, &op,
       [&](size_t i) { return "index:" + exact_entries[i]->index_path; },
       [&](size_t i, objectstore::IoTrace* t) -> Status {
         ROTTNEST_ASSIGN_OR_RETURN(
@@ -1914,25 +2008,36 @@ Result<uint64_t> Rottnest::ExecCount(const std::string& column,
     if (exact_counted.count(f) == 0) scan_files.insert(f);
   }
 
-  // Scan path: exact occurrence counting with deletion vectors applied.
+  // Scan path: exact occurrence counting with deletion vectors applied,
+  // every file at once (each file's DV loads with its footer open).
   internal::OpPhase scan_phase(&op, "scan");
-  DvCache dvs(table_, plan.snapshot);
-  for (const std::string& file : scan_files) {
-    auto reader_r = format::FileReader::Open(read_store(), file, opts.trace);
-    if (!reader_r.ok()) return reader_r.status();
-    ColumnVector col;
-    ROTTNEST_RETURN_NOT_OK(
-        reader_r.value()->ReadColumn(plan.column_index, opts.trace, &col));
-    for (size_t r = 0; r < col.size(); ++r) {
-      ROTTNEST_ASSIGN_OR_RETURN(bool deleted, dvs.IsDeleted(file, r));
-      if (deleted) continue;
-      const std::string& v = col.strings()[r];
-      size_t pos = 0;
-      while ((pos = v.find(pattern, pos)) != std::string::npos) {
-        ++total;
-        ++pos;
-      }
-    }
+  std::vector<const DataFile*> files;
+  for (const std::string& f : scan_files) {
+    const DataFile* df = plan.snapshot.FindFile(f);
+    if (df != nullptr) files.push_back(df);
+  }
+  DvCache dvs(plan.snapshot);
+  RangeFilter all_rows(read_store(), plan.snapshot, table_->schema(),
+                       std::nullopt);
+  std::vector<uint64_t> file_counts(files.size(), 0);
+  statuses = FanOut(
+      &pool_, files.size(), opts.parallelism, Deadline(), "scan", opts.trace,
+      nullptr, nullptr, [&](size_t i, objectstore::IoTrace* t) -> Status {
+        bool scanned = false;
+        return ScanFileRows(
+            read_store(), &pool_, *files[i], plan.column_index, &all_rows,
+            &dvs, Deadline(), t, &scanned,
+            [&](uint64_t, const std::string& v) -> Status {
+              for (size_t pos = v.find(pattern); pos != std::string::npos;
+                   pos = v.find(pattern, pos + 1)) {
+                ++file_counts[i];
+              }
+              return Status::OK();
+            });
+      });
+  for (size_t i = 0; i < files.size(); ++i) {
+    ROTTNEST_RETURN_NOT_OK(statuses[i]);
+    total += file_counts[i];
   }
   return total;
 }

@@ -481,13 +481,6 @@ class Rottnest {
                   lake::Version snapshot_version,
                   objectstore::IoTrace* trace, Plan* out);
 
-  /// Reads the data pages named by `fetches` and returns decoded values,
-  /// one inner vector per page.
-  Status ProbePages(const std::vector<format::PageFetch>& fetches,
-                    const format::ColumnSchema& column_schema,
-                    objectstore::IoTrace* trace,
-                    std::vector<format::ColumnVector>* out);
-
   std::string NewIndexName();
 
   /// The store immutable reads go through: the cache when enabled, the raw

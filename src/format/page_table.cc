@@ -71,7 +71,7 @@ Status PageTable::Deserialize(Decoder* dec, PageTable* out) {
   out->files_.clear();
   out->entries_.clear();
   out->file_first_page_.clear();
-  uint64_t num_files;
+  uint64_t num_files = 0;
   ROTTNEST_RETURN_NOT_OK(dec->GetVarint64(&num_files));
   for (uint64_t i = 0; i < num_files; ++i) {
     std::string f;
@@ -79,7 +79,7 @@ Status PageTable::Deserialize(Decoder* dec, PageTable* out) {
     out->files_.push_back(std::move(f));
   }
   for (uint64_t i = 0; i < num_files; ++i) {
-    uint64_t first;
+    uint64_t first = 0;
     ROTTNEST_RETURN_NOT_OK(dec->GetVarint64(&first));
     out->file_first_page_.push_back(static_cast<PageId>(first));
   }

@@ -4,7 +4,6 @@
 
 #include "common/coding.h"
 #include "format/page.h"
-#include "objectstore/read_batch.h"
 
 namespace rottnest::format {
 
@@ -44,29 +43,48 @@ Status ParseFooterFromTail(Slice tail, uint64_t file_size, FileMeta* meta,
 }  // namespace
 
 Result<std::unique_ptr<FileReader>> FileReader::Open(
-    objectstore::ObjectStore* store, std::string key,
+    objectstore::ObjectStore* store, std::string key, uint64_t object_size,
     objectstore::IoTrace* trace) {
-  objectstore::ObjectMeta obj;
-  ROTTNEST_RETURN_NOT_OK(store->Head(key, &obj));
-  uint64_t tail_len = std::min<uint64_t>(obj.size, kFooterTailBytes);
+  objectstore::RangeRequest req = FooterRequest(key, object_size);
   Buffer tail;
   if (trace != nullptr) trace->BeginRound();
-  ROTTNEST_RETURN_NOT_OK(
-      store->GetRange(key, obj.size - tail_len, tail_len, &tail));
-  if (trace != nullptr) trace->RecordGet(tail.size());
+  Status s = store->GetRange(key, req.offset, req.length, &tail);
+  if (s.ok() && trace != nullptr) trace->RecordGet(tail.size());
+  return OpenFromTail(store, std::move(key), object_size, s, tail, trace);
+}
 
+objectstore::RangeRequest FileReader::FooterRequest(const std::string& key,
+                                                    uint64_t object_size) {
+  uint64_t tail_len = std::min<uint64_t>(object_size, kFooterTailBytes);
+  return {key, object_size - tail_len, tail_len + 1};
+}
+
+Result<std::unique_ptr<FileReader>> FileReader::OpenFromTail(
+    objectstore::ObjectStore* store, std::string key, uint64_t object_size,
+    const Status& read, const Buffer& tail, objectstore::IoTrace* trace) {
+  // A read starting past the real end means the object is shorter than
+  // the size the caller vouched for.
+  if (read.IsInvalidArgument()) {
+    return Status::Corruption("object smaller than its recorded size: " +
+                              key);
+  }
+  ROTTNEST_RETURN_NOT_OK(read);
+  if (tail.size() != std::min<uint64_t>(object_size, kFooterTailBytes)) {
+    return Status::Corruption("object size differs from its recorded size: " +
+                              key);
+  }
   FileMeta meta;
   uint64_t footer_start = 0;
   bool parsed = false;
-  ROTTNEST_RETURN_NOT_OK(
-      ParseFooterFromTail(Slice(tail), obj.size, &meta, &footer_start,
-                          &parsed));
+  ROTTNEST_RETURN_NOT_OK(ParseFooterFromTail(Slice(tail), object_size, &meta,
+                                             &footer_start, &parsed));
   if (!parsed) {
     // Footer larger than the speculative tail read: fetch it exactly.
     Buffer footer;
     if (trace != nullptr) trace->BeginRound();
     ROTTNEST_RETURN_NOT_OK(store->GetRange(
-        key, footer_start, obj.size - kFooterSuffix - footer_start, &footer));
+        key, footer_start, object_size - kFooterSuffix - footer_start,
+        &footer));
     if (trace != nullptr) trace->RecordGet(footer.size());
     ROTTNEST_RETURN_NOT_OK(FileMeta::Deserialize(Slice(footer), &meta));
   }
@@ -119,18 +137,20 @@ Status FileReader::ReadColumn(size_t column, objectstore::IoTrace* trace,
   return Status::OK();
 }
 
-Status ReadPages(objectstore::ObjectStore* store,
-                 const std::vector<PageFetch>& pages,
-                 const ColumnSchema& column_schema, ThreadPool* pool,
-                 objectstore::IoTrace* trace, std::vector<ColumnVector>* out) {
+std::vector<objectstore::RangeRequest> PageRequests(
+    const std::vector<PageFetch>& pages) {
   std::vector<objectstore::RangeRequest> requests;
   requests.reserve(pages.size());
   for (const PageFetch& pf : pages) {
     requests.push_back({pf.key, pf.page.offset, pf.page.size});
   }
-  std::vector<Buffer> raw;
-  ROTTNEST_RETURN_NOT_OK(
-      objectstore::ReadBatch(store, requests, pool, trace, &raw));
+  return requests;
+}
+
+Status DecodePages(const std::vector<PageFetch>& pages,
+                   const std::vector<Buffer>& raw,
+                   const ColumnSchema& column_schema,
+                   std::vector<ColumnVector>* out) {
   out->clear();
   out->resize(pages.size());
   for (size_t i = 0; i < pages.size(); ++i) {
@@ -141,6 +161,16 @@ Status ReadPages(objectstore::ObjectStore* store,
     }
   }
   return Status::OK();
+}
+
+Status ReadPages(objectstore::ObjectStore* store,
+                 const std::vector<PageFetch>& pages,
+                 const ColumnSchema& column_schema, ThreadPool* pool,
+                 objectstore::IoTrace* trace, std::vector<ColumnVector>* out) {
+  std::vector<Buffer> raw;
+  ROTTNEST_RETURN_NOT_OK(objectstore::ReadBatch(store, PageRequests(pages),
+                                                pool, trace, &raw));
+  return DecodePages(pages, raw, column_schema, out);
 }
 
 Status ParseFileMeta(Slice file, FileMeta* out) {

@@ -18,17 +18,35 @@
 #include "format/types.h"
 #include "objectstore/io_trace.h"
 #include "objectstore/object_store.h"
+#include "objectstore/read_batch.h"
 
 namespace rottnest::format {
 
 /// Footer-driven reader over a file in object storage.
 class FileReader {
  public:
-  /// Opens `key`: reads the footer (1 HEAD + 1-2 range GETs) and parses
-  /// metadata. `trace` may be null.
+  /// Opens `key`, an object of `object_size` bytes — the size the lake
+  /// snapshot already records (lake::DataFile::bytes) — so no HEAD is
+  /// needed: one speculative tail GET (a second only for a footer larger
+  /// than the tail) and the metadata parse. A size that does not match the
+  /// object fails with Corruption, never with misparsed rows. `trace` may
+  /// be null.
   static Result<std::unique_ptr<FileReader>> Open(
-      objectstore::ObjectStore* store, std::string key,
+      objectstore::ObjectStore* store, std::string key, uint64_t object_size,
       objectstore::IoTrace* trace);
+
+  /// The speculative tail read of a sized Open, for callers that issue it
+  /// in one batch with other reads. It asks for one byte past the claimed
+  /// end: a store truncates reads at the real end, so the returned length
+  /// tells whether the object is exactly `object_size` bytes.
+  static objectstore::RangeRequest FooterRequest(const std::string& key,
+                                                 uint64_t object_size);
+
+  /// Completes a sized Open from the status and bytes of the read that
+  /// carried FooterRequest (any failure of that read fails the open).
+  static Result<std::unique_ptr<FileReader>> OpenFromTail(
+      objectstore::ObjectStore* store, std::string key, uint64_t object_size,
+      const Status& read, const Buffer& tail, objectstore::IoTrace* trace);
 
   const FileMeta& meta() const { return meta_; }
   const std::string& key() const { return key_; }
@@ -58,8 +76,20 @@ struct PageFetch {
   PageMeta page;         ///< Byte range and row range.
 };
 
+/// The range request of each page, positionally aligned with `pages`.
+std::vector<objectstore::RangeRequest> PageRequests(
+    const std::vector<PageFetch>& pages);
+
+/// Decodes fetched page bytes (`raw[i]` holds pages[i]) and checks each
+/// page's value count against its PageMeta.
+Status DecodePages(const std::vector<PageFetch>& pages,
+                   const std::vector<Buffer>& raw,
+                   const ColumnSchema& column_schema,
+                   std::vector<ColumnVector>* out);
+
 /// Fetches and decodes `pages` (one parallel round of range GETs, no footer
-/// read). Results align positionally with `pages`.
+/// read; byte-adjacent pages of one file share a GET — see ReadBatch).
+/// Results align positionally with `pages`.
 Status ReadPages(objectstore::ObjectStore* store,
                  const std::vector<PageFetch>& pages,
                  const ColumnSchema& column_schema, ThreadPool* pool,

@@ -260,7 +260,7 @@ class FmView {
 
   /// LF step: row of the text position one before row i's position.
   Status Lf(uint64_t i, uint64_t* out) {
-    uint8_t c;
+    uint8_t c = 0;
     ROTTNEST_RETURN_NOT_OK(BwtAt(i, &c));
     uint64_t occ = 0;
     ROTTNEST_RETURN_NOT_OK(Occ(c, i, &occ));
@@ -660,15 +660,15 @@ Status FmLocatePages(ComponentFileReader* reader, ThreadPool* pool,
 
     for (Walk& w : walks) {
       if (w.done) continue;
-      bool marked;
-      uint64_t slot;
+      bool marked = false;
+      uint64_t slot = 0;
       ROTTNEST_RETURN_NOT_OK(view.Marked(w.row, &marked, &slot));
       if (marked) {
         w.slot = slot;
         w.done = true;
         continue;
       }
-      uint64_t next;
+      uint64_t next = 0;
       ROTTNEST_RETURN_NOT_OK(view.Lf(w.row, &next));
       w.row = next;
       w.steps++;

@@ -285,7 +285,8 @@ Result<Version> Table::CompactFiles(uint64_t small_file_bytes) {
     merged.columns.push_back(format::MakeEmptyColumn(col));
   }
   for (const DataFile* f : small) {
-    auto reader_r = format::FileReader::Open(store_, f->path, nullptr);
+    auto reader_r = format::FileReader::Open(store_, f->path, f->bytes,
+                                             nullptr);
     if (!reader_r.ok()) return reader_r.status();
     DeletionVector dv;
     ROTTNEST_RETURN_NOT_OK(ReadDeletionVector(*f, &dv));
@@ -336,7 +337,7 @@ Result<Version> Table::DeleteWhere(
 
   std::vector<Json> actions;
   for (const DataFile& f : snap.files) {
-    auto reader_r = format::FileReader::Open(store_, f.path, nullptr);
+    auto reader_r = format::FileReader::Open(store_, f.path, f.bytes, nullptr);
     if (!reader_r.ok()) return reader_r.status();
     format::ColumnVector col;
     ROTTNEST_RETURN_NOT_OK(

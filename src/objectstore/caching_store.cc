@@ -85,41 +85,79 @@ void CachingStore::EvictLocked(Shard& shard) {
   }
 }
 
+std::shared_ptr<CachingStore::InFlight> CachingStore::Claim(
+    const EntryKey& k, bool* leader) {
+  std::lock_guard<std::mutex> lock(flights_mu_);
+  auto it = flights_.find(k);
+  if (it != flights_.end()) {
+    // Coalesce onto the leader's in-flight fetch: one physical GET serves
+    // every concurrent misser of this range.
+    *leader = false;
+    stats_.cache_coalesced.fetch_add(1);
+    obs::Increment(metrics_.cache_coalesced);
+    return it->second;
+  }
+  *leader = true;
+  auto flight = std::make_shared<InFlight>();
+  flights_.emplace(k, flight);
+  return flight;
+}
+
+void CachingStore::Complete(const EntryKey& k, InFlight* flight,
+                            const Status& s, const Buffer* data,
+                            const ObjectMeta* meta) {
+  {
+    std::lock_guard<std::mutex> lock(flight->mu);
+    flight->status = s;
+    if (s.ok()) {
+      // Copy: followers may still need it after the leader moves its own
+      // result out.
+      if (data != nullptr) flight->data = *data;
+      if (meta != nullptr) flight->meta = *meta;
+    }
+    flight->done = true;
+  }
+  {
+    std::lock_guard<std::mutex> lock(flights_mu_);
+    flights_.erase(k);
+  }
+  flight->cv.notify_all();
+}
+
+Status CachingStore::Await(InFlight* flight, Buffer* data, ObjectMeta* meta) {
+  std::unique_lock<std::mutex> lock(flight->mu);
+  flight->cv.wait(lock, [&] { return flight->done; });
+  if (flight->status.ok()) {
+    if (data != nullptr) *data = flight->data;
+    if (meta != nullptr) *meta = flight->meta;
+  }
+  return flight->status;
+}
+
+void CachingStore::RecordPhysicalGet(uint64_t bytes) {
+  stats_.gets.fetch_add(1);
+  stats_.bytes_read.fetch_add(bytes);
+  obs::Increment(metrics_.gets);
+  obs::Add(metrics_.bytes_read, bytes);
+  obs::Record(metrics_.get_bytes, bytes);
+}
+
 Status CachingStore::MissFetch(
     EntryKey k, Buffer* data_out, ObjectMeta* meta_out,
     const std::function<Status(Buffer*, ObjectMeta*)>& fetch) {
-  std::shared_ptr<InFlight> flight;
   bool leader = false;
-  {
-    std::lock_guard<std::mutex> lock(flights_mu_);
-    auto it = flights_.find(k);
-    if (it != flights_.end()) {
-      flight = it->second;
-    } else {
-      flight = std::make_shared<InFlight>();
-      flights_.emplace(k, flight);
-      leader = true;
-    }
-  }
-
-  if (!leader) {
-    // Coalesce onto the leader's in-flight fetch: one physical GET serves
-    // every concurrent misser of this range.
-    stats_.cache_coalesced.fetch_add(1);
-    obs::Increment(metrics_.cache_coalesced);
-    std::unique_lock<std::mutex> lock(flight->mu);
-    flight->cv.wait(lock, [&] { return flight->done; });
-    if (flight->status.ok()) {
-      if (data_out != nullptr) *data_out = flight->data;
-      if (meta_out != nullptr) *meta_out = flight->meta;
-    }
-    return flight->status;
-  }
+  std::shared_ptr<InFlight> flight = Claim(k, &leader);
+  if (!leader) return Await(flight.get(), data_out, meta_out);
 
   Buffer data;
   ObjectMeta meta;
   Status s;
-  if (WaveLookup(k, &data, &meta)) {
+  if (Lookup(k, &data, &meta)) {
+    // Another leader of this key inserted and retired its flight between
+    // our miss and our claim: a hit after all, not a second fetch.
+    stats_.cache_hits.fetch_add(1);
+    obs::Increment(metrics_.cache_hits);
+  } else if (WaveLookup(k, &data, &meta)) {
     // An earlier member of the current GET wave already fetched this range
     // (it may have aged out of the LRU since): serve it with no physical
     // request, and re-insert so the LRU observes the touch.
@@ -139,20 +177,7 @@ Status CachingStore::MissFetch(
                  meta_out != nullptr ? &meta : nullptr);
     }
   }
-  {
-    std::lock_guard<std::mutex> lock(flight->mu);
-    flight->status = s;
-    if (s.ok()) {
-      flight->data = data;  // Copy: followers may still need it after we
-      flight->meta = meta;  // move our own result out below.
-    }
-    flight->done = true;
-  }
-  {
-    std::lock_guard<std::mutex> lock(flights_mu_);
-    flights_.erase(k);
-  }
-  flight->cv.notify_all();
+  Complete(k, flight.get(), s, &data, &meta);
   if (s.ok()) {
     if (data_out != nullptr) *data_out = std::move(data);
     if (meta_out != nullptr) *meta_out = meta;
@@ -170,34 +195,116 @@ Status CachingStore::Get(const std::string& key, Buffer* out) {
   return MissFetch(std::move(k), out, nullptr,
                    [this, &key](Buffer* data, ObjectMeta*) {
                      ROTTNEST_RETURN_NOT_OK(inner_->Get(key, data));
-                     stats_.gets.fetch_add(1);
-                     stats_.bytes_read.fetch_add(data->size());
-                     obs::Increment(metrics_.gets);
-                     obs::Add(metrics_.bytes_read, data->size());
-                     obs::Record(metrics_.get_bytes, data->size());
+                     RecordPhysicalGet(data->size());
                      return Status::OK();
                    });
 }
 
 Status CachingStore::GetRange(const std::string& key, uint64_t offset,
                               uint64_t length, Buffer* out) {
+  if (GetCached(key, offset, length, out)) return Status::OK();
   EntryKey k{key, offset, length};
-  if (Lookup(k, out, nullptr)) {
-    stats_.cache_hits.fetch_add(1);
-    obs::Increment(metrics_.cache_hits);
-    return Status::OK();
-  }
   return MissFetch(
       std::move(k), out, nullptr,
       [this, &key, offset, length](Buffer* data, ObjectMeta*) {
         ROTTNEST_RETURN_NOT_OK(inner_->GetRange(key, offset, length, data));
-        stats_.gets.fetch_add(1);
-        stats_.bytes_read.fetch_add(data->size());
-        obs::Increment(metrics_.gets);
-        obs::Add(metrics_.bytes_read, data->size());
-        obs::Record(metrics_.get_bytes, data->size());
+        RecordPhysicalGet(data->size());
         return Status::OK();
       });
+}
+
+bool CachingStore::GetCached(const std::string& key, uint64_t offset,
+                             uint64_t length, Buffer* out) {
+  if (!Lookup(EntryKey{key, offset, length}, out, nullptr)) return false;
+  stats_.cache_hits.fetch_add(1);
+  obs::Increment(metrics_.cache_hits);
+  return true;
+}
+
+Status CachingStore::GetRun(const std::string& key,
+                            const std::vector<ByteRange>& ranges,
+                            std::vector<Buffer>* out) {
+  const size_t n = ranges.size();
+  out->clear();
+  out->resize(n);
+  if (n == 0) return Status::OK();
+  stats_.cache_run_merged.fetch_add(n - 1);
+  obs::Add(metrics_.cache_run_merged, n - 1);
+  // Every page keeps its own (key, offset, length) entry: resolve each one
+  // as a hit, a wave-ledger hit, a follower of another reader's in-flight
+  // fetch, or a miss this call leads.
+  std::vector<std::shared_ptr<InFlight>> flights(n);
+  std::vector<size_t> fetch;   // Led misses, in offset order.
+  std::vector<size_t> follow;  // Pages another reader is fetching.
+  for (size_t i = 0; i < n; ++i) {
+    const ByteRange& r = ranges[i];
+    if (GetCached(key, r.offset, r.length, &(*out)[i])) continue;
+    EntryKey k{key, r.offset, r.length};
+    bool leader = false;
+    flights[i] = Claim(k, &leader);
+    if (!leader) {
+      follow.push_back(i);
+    } else if (GetCached(key, r.offset, r.length, &(*out)[i])) {
+      // Inserted by a leader that retired between our lookup and claim.
+      Complete(k, flights[i].get(), Status::OK(), &(*out)[i], nullptr);
+    } else if (WaveLookup(k, &(*out)[i], nullptr)) {
+      stats_.cache_wave_hits.fetch_add(1);
+      obs::Increment(metrics_.cache_wave_hits);
+      Insert(k, &(*out)[i], nullptr);
+      Complete(k, flights[i].get(), Status::OK(), &(*out)[i], nullptr);
+    } else {
+      stats_.cache_misses.fetch_add(1);
+      obs::Increment(metrics_.cache_misses);
+      fetch.push_back(i);
+    }
+  }
+
+  // Only runs of adjacent misses coalesce: a resident page between two
+  // misses splits them into two GETs, so no byte is fetched twice.
+  Status first_error;
+  for (size_t b = 0; b < fetch.size();) {
+    size_t e = b + 1;
+    uint64_t end = ranges[fetch[b]].offset + ranges[fetch[b]].length;
+    while (e < fetch.size() && ranges[fetch[e]].offset <= end) {
+      end = std::max(end, ranges[fetch[e]].offset + ranges[fetch[e]].length);
+      ++e;
+    }
+    std::vector<ByteRange> sub;
+    sub.reserve(e - b);
+    for (size_t j = b; j < e; ++j) sub.push_back(ranges[fetch[j]]);
+    std::vector<Buffer> bufs(1);
+    Status s = sub.size() == 1
+                   ? inner_->GetRange(key, sub[0].offset, sub[0].length,
+                                      &bufs[0])
+                   : inner_->GetRun(key, sub, &bufs);
+    if (s.ok()) {
+      uint64_t span = 0;
+      for (size_t j = 0; j < sub.size(); ++j) {
+        span = std::max(span, sub[j].offset - sub[0].offset + bufs[j].size());
+      }
+      RecordPhysicalGet(span);
+    } else if (first_error.ok()) {
+      first_error = s;
+    }
+    for (size_t j = b; j < e; ++j) {
+      const size_t i = fetch[j];
+      EntryKey k{key, ranges[i].offset, ranges[i].length};
+      if (s.ok()) {
+        (*out)[i] = std::move(bufs[j - b]);
+        Insert(k, &(*out)[i], nullptr);
+        WaveRecord(k, &(*out)[i], nullptr);
+      }
+      Complete(k, flights[i].get(), s, &(*out)[i], nullptr);
+    }
+    b = e;
+  }
+
+  // Followers last: every flight this call leads is complete by now.
+  for (size_t i : follow) {
+    Status s = Await(flights[i].get(), &(*out)[i], nullptr);
+    if (!s.ok() && first_error.ok()) first_error = s;
+  }
+  return first_error;
 }
 
 Status CachingStore::Head(const std::string& key, ObjectMeta* out) {

@@ -16,6 +16,14 @@
 // What is cached:
 //   * GetRange(key, offset, length)  — keyed exactly on the request triple;
 //   * Get(key)                       — keyed as (key, 0, kWholeObject);
+//   * GetRun(key, ranges)            — one entry PER RANGE (page), exactly
+//                                      as if each were a GetRange: resident
+//                                      pages are served one by one, and only
+//                                      runs of adjacent misses coalesce into
+//                                      one physical GET, split back into
+//                                      per-page entries (never one entry
+//                                      per run — a run-keyed entry would
+//                                      duplicate pages already resident);
 //   * Head(key)                      — object metadata, tiny entries that
 //                                      spare the open-path HEAD round-trip.
 // Lists always pass through (they observe mutable namespace state).
@@ -70,6 +78,10 @@ class CachingStore : public ObjectStore {
   Status Get(const std::string& key, Buffer* out) override;
   Status GetRange(const std::string& key, uint64_t offset, uint64_t length,
                   Buffer* out) override;
+  Status GetRun(const std::string& key, const std::vector<ByteRange>& ranges,
+                std::vector<Buffer>* out) override;
+  bool GetCached(const std::string& key, uint64_t offset, uint64_t length,
+                 Buffer* out) override;
   Status Head(const std::string& key, ObjectMeta* out) override;
 
   // Pass-through (writes invalidate the key's entries defensively).
@@ -181,6 +193,19 @@ class CachingStore : public ObjectStore {
   /// the cache; coalesced followers wait and copy the leader's result.
   Status MissFetch(EntryKey k, Buffer* data_out, ObjectMeta* meta_out,
                    const std::function<Status(Buffer*, ObjectMeta*)>& fetch);
+  /// Single-flight registration for a miss on `k`: returns the flight and
+  /// sets *leader when this caller must fetch (and later Complete) it;
+  /// otherwise counts a coalesced miss and the caller must Await it.
+  std::shared_ptr<InFlight> Claim(const EntryKey& k, bool* leader);
+  /// Publishes a leader's result to the followers of `flight` and retires
+  /// it. A leader must complete every flight it leads before it awaits any
+  /// other flight, so no two readers can wait on each other.
+  void Complete(const EntryKey& k, InFlight* flight, const Status& s,
+                const Buffer* data, const ObjectMeta* meta);
+  /// Waits for the leader of `flight` and copies its result out.
+  static Status Await(InFlight* flight, Buffer* data, ObjectMeta* meta);
+  /// Counts one physical GET of `bytes` (stats and metrics mirror).
+  void RecordPhysicalGet(uint64_t bytes);
   /// Inserts (or refreshes) `k`, charging its payload and evicting LRU
   /// entries past the shard budget.
   void Insert(EntryKey k, const Buffer* data, const ObjectMeta* meta);

@@ -1,5 +1,7 @@
 #include "objectstore/object_store.h"
 
+#include <algorithm>
+
 #include "obs/metrics.h"
 
 namespace rottnest::objectstore {
@@ -25,8 +27,41 @@ StoreMetrics ResolveStoreMetrics(obs::MetricsRegistry* registry,
   m.cache_evictions = registry->GetCounter(p + "cache_evictions");
   m.cache_coalesced = registry->GetCounter(p + "coalesced");
   m.cache_wave_hits = registry->GetCounter(p + "wave_hits");
+  m.cache_run_merged = registry->GetCounter(p + "run_merged");
   m.get_bytes = registry->GetHistogram(p + "get_bytes");
   return m;
+}
+
+Status ObjectStore::GetRun(const std::string& key,
+                           const std::vector<ByteRange>& ranges,
+                           std::vector<Buffer>* out) {
+  out->clear();
+  out->resize(ranges.size());
+  if (ranges.empty()) return Status::OK();
+  const uint64_t begin = ranges.front().offset;
+  uint64_t prev = begin, end = begin;
+  for (const ByteRange& r : ranges) {
+    if (r.offset < prev || r.offset > end) {
+      return Status::InvalidArgument("GetRun ranges do not form one run");
+    }
+    prev = r.offset;
+    end = std::max(end, r.offset + r.length);
+  }
+  Buffer span;
+  ROTTNEST_RETURN_NOT_OK(GetRange(key, begin, end - begin, &span));
+  // Split with GetRange's own truncation semantics: a range running past
+  // the end of the object is cut short, one starting past it is an error.
+  for (size_t i = 0; i < ranges.size(); ++i) {
+    const uint64_t rel = ranges[i].offset - begin;
+    if (rel > span.size()) {
+      return Status::InvalidArgument("range offset past end of object: " +
+                                     key);
+    }
+    const uint64_t len = std::min<uint64_t>(ranges[i].length,
+                                            span.size() - rel);
+    (*out)[i].assign(span.begin() + rel, span.begin() + rel + len);
+  }
+  return Status::OK();
 }
 
 Status InMemoryObjectStore::MaybeFail(const char* op, const std::string& key) {

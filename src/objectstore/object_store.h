@@ -41,6 +41,12 @@ struct ObjectMeta {
   Micros created_micros = 0;  ///< Store-clock creation time.
 };
 
+/// A byte range [offset, offset + length) of one object.
+struct ByteRange {
+  uint64_t offset = 0;
+  uint64_t length = 0;
+};
+
 /// Aggregate request counters, used for cost accounting ($ per request) and
 /// throughput-cap analysis (5500 GET RPS per prefix). The cache_* fields are
 /// populated only by CachingStore (zero elsewhere): hits are reads served
@@ -65,6 +71,11 @@ struct IoStats {
   /// wave already fetched the range, so this read paid no backing request
   /// even though the LRU had no (or no longer any) entry for it.
   std::atomic<uint64_t> cache_wave_hits{0};
+  /// Ranges a GetRun served beyond the first of its run. The caller issued
+  /// (and traced) the run as ONE read, while each of its ranges still
+  /// counts one outcome above (hit, miss, coalesced or wave hit), so
+  /// traced reads == outcomes - cache_run_merged.
+  std::atomic<uint64_t> cache_run_merged{0};
   /// Resident cache payload bytes — a gauge owned by the cache, not a
   /// monotonic counter; excluded from Reset().
   std::atomic<uint64_t> cache_bytes{0};
@@ -73,7 +84,7 @@ struct IoStats {
     gets = puts = lists = deletes = heads = 0;
     bytes_read = bytes_written = 0;
     cache_hits = cache_misses = cache_evictions = cache_coalesced = 0;
-    cache_wave_hits = 0;
+    cache_wave_hits = cache_run_merged = 0;
   }
 };
 
@@ -95,6 +106,7 @@ struct StoreMetrics {
   obs::Counter* cache_evictions = nullptr;
   obs::Counter* cache_coalesced = nullptr;
   obs::Counter* cache_wave_hits = nullptr;
+  obs::Counter* cache_run_merged = nullptr;
   obs::Histogram* get_bytes = nullptr;  ///< Per-GET payload distribution.
 };
 
@@ -124,6 +136,27 @@ class ObjectStore {
   /// InvalidArgument.
   virtual Status GetRange(const std::string& key, uint64_t offset,
                           uint64_t length, Buffer* out) = 0;
+
+  /// Reads several ranges of ONE object that form a single run: distinct,
+  /// sorted by offset, each starting at or before the end of the ranges
+  /// before it (byte-adjacent or overlapping — gap 0, so the run's span
+  /// holds no byte that no range asked for). `out` aligns with `ranges`.
+  /// The default issues one GetRange over the span and splits it, so the
+  /// run costs one request and no extra bytes; a decorator that keys state
+  /// per range (the client cache) overrides it. On error the contents of
+  /// `out` are unspecified.
+  virtual Status GetRun(const std::string& key,
+                        const std::vector<ByteRange>& ranges,
+                        std::vector<Buffer>* out);
+
+  /// Serves [offset, offset+length) of `key` into `out` only when this
+  /// store holds it in memory (a client-cache hit) and returns true; false
+  /// means a read would need a request. Lets a batch serve resident ranges
+  /// first and coalesce only the rest. The default holds nothing.
+  virtual bool GetCached(const std::string& key, uint64_t offset,
+                         uint64_t length, Buffer* out) {
+    return false;
+  }
 
   /// Object metadata without the body.
   virtual Status Head(const std::string& key, ObjectMeta* out) = 0;

@@ -1,6 +1,8 @@
 // Parallel batched byte-range reads: the "width" primitive of §V-B. All
 // requests in one batch are issued concurrently and count as one dependent
-// round in the IoTrace.
+// round in the IoTrace. Byte-adjacent or overlapping ranges of one object
+// coalesce into one ranged GET (ObjectStore::GetRun), so a batch of
+// neighbouring pages costs one request and not one byte more.
 #ifndef ROTTNEST_OBJECTSTORE_READ_BATCH_H_
 #define ROTTNEST_OBJECTSTORE_READ_BATCH_H_
 
@@ -21,13 +23,19 @@ struct RangeRequest {
 };
 
 /// Issues all `requests` concurrently on `pool` (or inline when pool is
-/// null), recording them as one round in `trace` (if non-null). Results are
+/// null), recording them as one round in `trace` (if non-null). Ranges the
+/// store serves from memory (GetCached) are taken first; of the rest,
+/// requests for the same key whose ranges touch or overlap (gap 0) are
+/// merged into one run and read with one GetRun, and duplicates are read
+/// once. The trace records one GET per cached range and per issued request
+/// (a run's span bytes). Results are
 /// positionally aligned with requests. Returns the first error encountered,
-/// with all other requests still attempted. Error contract: a failed
-/// request leaves a ZERO-LENGTH buffer at its position — never whatever
-/// partial bytes the store wrote before failing — so a caller that decides
-/// to tolerate the error (degraded reads) can distinguish "failed slot"
-/// from data without consulting per-slot statuses.
+/// with all other runs still attempted. Error contract: a failed request
+/// leaves a ZERO-LENGTH buffer at its position — and a failed run at every
+/// position it covers — never whatever partial bytes the store wrote
+/// before failing, so a caller that decides to tolerate the error
+/// (degraded reads) can distinguish "failed slot" from data without
+/// consulting per-slot statuses.
 Status ReadBatch(ObjectStore* store, const std::vector<RangeRequest>& requests,
                  ThreadPool* pool, IoTrace* trace,
                  std::vector<Buffer>* results);

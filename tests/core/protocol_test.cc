@@ -166,7 +166,7 @@ TEST_F(ProtocolTest, IndexAbortsWhenDataFileVanishes) {
   auto snap = table_->GetSnapshot().MoveValue();
   // Simulate aggressive lake GC deleting the data file mid-index.
   store_.SetFailurePoint([&](const std::string& op, const std::string& key) {
-    if (op == "head" && key == snap.files[0].path) {
+    if ((op == "head" || op == "get") && key == snap.files[0].path) {
       return Status::NotFound("injected: vanished");
     }
     return Status::OK();

@@ -83,7 +83,7 @@ TEST_P(FormatSweepTest, RoundTripAllTypes) {
   SimulatedClock clock;
   InMemoryObjectStore store(&clock);
   ASSERT_TRUE(store.Put("f", Slice(file)).ok());
-  auto reader = FileReader::Open(&store, "f", nullptr).MoveValue();
+  auto reader = FileReader::Open(&store, "f", file.size(), nullptr).MoveValue();
   for (size_t c = 0; c < 4; ++c) {
     ColumnVector col;
     ASSERT_TRUE(reader->ReadColumn(c, nullptr, &col).ok()) << "col " << c;
@@ -143,7 +143,7 @@ TEST(FormatRobustnessTest, TruncatedFilesNeverCrash) {
     size_t cut = 1 + rng.Uniform(file.size() - 1);
     Buffer truncated(file.begin(), file.begin() + cut);
     ASSERT_TRUE(store.Put("t", Slice(truncated)).ok());
-    auto reader = FileReader::Open(&store, "t", nullptr);
+    auto reader = FileReader::Open(&store, "t", truncated.size(), nullptr);
     if (reader.ok()) {
       // Footer happened to parse (cut inside data): chunk reads must fail
       // cleanly, not crash.
@@ -168,7 +168,7 @@ TEST(FormatRobustnessTest, BitFlippedFilesNeverCrash) {
           static_cast<uint8_t>(1 << rng.Uniform(8));
     }
     ASSERT_TRUE(store.Put("c", Slice(corrupt)).ok());
-    auto reader = FileReader::Open(&store, "c", nullptr);
+    auto reader = FileReader::Open(&store, "c", corrupt.size(), nullptr);
     if (!reader.ok()) continue;
     for (size_t c = 0; c < 4; ++c) {
       ColumnVector col;
@@ -194,7 +194,7 @@ TEST(FormatRobustnessTest, SingleRowAndSingleColumnFiles) {
   SimulatedClock clock;
   InMemoryObjectStore store(&clock);
   ASSERT_TRUE(store.Put("f", Slice(file)).ok());
-  auto reader = FileReader::Open(&store, "f", nullptr).MoveValue();
+  auto reader = FileReader::Open(&store, "f", file.size(), nullptr).MoveValue();
   ColumnVector col;
   ASSERT_TRUE(reader->ReadColumn(0, nullptr, &col).ok());
   ASSERT_EQ(col.size(), 1u);
@@ -220,7 +220,7 @@ TEST(FormatRobustnessTest, HugeSingleValueGetsOwnPage) {
   SimulatedClock clock;
   InMemoryObjectStore store(&clock);
   ASSERT_TRUE(store.Put("f", Slice(file)).ok());
-  auto reader = FileReader::Open(&store, "f", nullptr).MoveValue();
+  auto reader = FileReader::Open(&store, "f", file.size(), nullptr).MoveValue();
   ColumnVector col;
   ASSERT_TRUE(reader->ReadColumn(0, nullptr, &col).ok());
   EXPECT_EQ(col.strings(), values);

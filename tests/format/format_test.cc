@@ -152,7 +152,8 @@ TEST(WriterTest, WriteAndReadWholeFile) {
   InMemoryObjectStore store(&clock);
   ASSERT_TRUE(store.Put("t/a.lakefile", Slice(file)).ok());
 
-  auto reader_r = FileReader::Open(&store, "t/a.lakefile", nullptr);
+  auto reader_r =
+      FileReader::Open(&store, "t/a.lakefile", file.size(), nullptr);
   ASSERT_TRUE(reader_r.ok()) << reader_r.status().ToString();
   auto& reader = *reader_r.value();
   EXPECT_EQ(reader.meta().num_rows, 5000u);
@@ -251,7 +252,7 @@ TEST(ReaderTest, FooterLargerThanTailRead) {
   SimulatedClock clock;
   InMemoryObjectStore store(&clock);
   ASSERT_TRUE(store.Put("big", Slice(file)).ok());
-  auto reader_r = FileReader::Open(&store, "big", nullptr);
+  auto reader_r = FileReader::Open(&store, "big", file.size(), nullptr);
   ASSERT_TRUE(reader_r.ok()) << reader_r.status().ToString();
   EXPECT_EQ(reader_r.value()->meta().num_rows, 30000u);
 }
@@ -261,7 +262,7 @@ TEST(ReaderTest, CorruptMagicRejected) {
   InMemoryObjectStore store(&clock);
   Buffer junk(100, 0x5a);
   ASSERT_TRUE(store.Put("junk", Slice(junk)).ok());
-  auto r = FileReader::Open(&store, "junk", nullptr);
+  auto r = FileReader::Open(&store, "junk", junk.size(), nullptr);
   EXPECT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsCorruption());
 }
@@ -269,8 +270,68 @@ TEST(ReaderTest, CorruptMagicRejected) {
 TEST(ReaderTest, MissingObjectIsNotFound) {
   SimulatedClock clock;
   InMemoryObjectStore store(&clock);
-  auto r = FileReader::Open(&store, "ghost", nullptr);
+  auto r = FileReader::Open(&store, "ghost", 100, nullptr);
   EXPECT_TRUE(r.status().IsNotFound());
+}
+
+// A sized Open (the lake snapshot records every data file's size) costs no
+// HEAD — one tail GET in one round — and a size that does not match the
+// object is a typed Corruption, never misparsed rows.
+TEST(ReaderTest, SizedOpenIssuesNoHead) {
+  for (size_t rows : {200, 5000}) {
+    RowBatch batch = MakeTextBatch(rows, 7);
+    Buffer file;
+    FileMeta meta;
+    ASSERT_TRUE(WriteSingleFile(batch, WriterOptions{}, &file, &meta).ok());
+    SimulatedClock clock;
+    InMemoryObjectStore store(&clock);
+    ASSERT_TRUE(store.Put("f", Slice(file)).ok());
+    IoTrace trace;
+    auto r = FileReader::Open(&store, "f", file.size(), &trace);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(store.stats().heads.load(), 0u);
+    EXPECT_EQ(store.stats().gets.load(), 1u);
+    EXPECT_EQ(trace.depth(), 1u);
+    // The speculative tail is never longer than the object.
+    EXPECT_EQ(store.stats().bytes_read.load(),
+              std::min<uint64_t>(file.size(), 64 << 10));
+    ColumnVector body;
+    ASSERT_TRUE(r.value()->ReadColumn(1, nullptr, &body).ok());
+    EXPECT_EQ(body.strings(), batch.columns[1].strings());
+  }
+}
+
+TEST(ReaderTest, SizedOpenWithWrongSizeIsCorruption) {
+  for (size_t rows : {200, 5000}) {
+    RowBatch batch = MakeTextBatch(rows, 8);
+    Buffer file;
+    FileMeta meta;
+    ASSERT_TRUE(WriteSingleFile(batch, WriterOptions{}, &file, &meta).ok());
+    if (rows == 5000) {
+      ASSERT_GT(file.size(), 64u << 10);  // The tail read is not the file.
+    }
+    SimulatedClock clock;
+    InMemoryObjectStore store(&clock);
+    ASSERT_TRUE(store.Put("f", Slice(file)).ok());
+    const uint64_t n = file.size();
+    for (uint64_t wrong : {n - 1, n + 1, n - 100, n + 100, 2 * n + 1,
+                           uint64_t{0}, uint64_t{8}}) {
+      auto r = FileReader::Open(&store, "f", wrong, nullptr);
+      EXPECT_TRUE(r.status().IsCorruption())
+          << "rows " << rows << " size " << wrong << ": "
+          << r.status().ToString();
+    }
+    EXPECT_EQ(store.stats().heads.load(), 0u);
+
+    // An object LONGER than its recorded size (bytes appended after the
+    // footer) still ends in a valid footer at the recorded size; only the
+    // byte read past that size exposes it.
+    Buffer longer = file;
+    longer.push_back('x');
+    ASSERT_TRUE(store.Put("g", Slice(longer)).ok());
+    EXPECT_TRUE(FileReader::Open(&store, "g", n, nullptr).status()
+                    .IsCorruption());
+  }
 }
 
 TEST(PageReaderTest, InSituPageReadsMatchFullScan) {

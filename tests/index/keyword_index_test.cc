@@ -190,8 +190,7 @@ TEST_F(KeywordIndexTest, SingleTermLookupFindsAllPostings) {
 TEST_F(KeywordIndexTest, MissingTermsReturnNothing) {
   BuildIndex("idx/k.index", 5000, 17);
   auto reader = Open("idx/k.index");
-  for (const std::string& term :
-       {"absent", "aaaa", "zzzz", "term99999", "term"}) {
+  for (const char* term : {"absent", "aaaa", "zzzz", "term99999", "term"}) {
     std::vector<format::PageId> got;
     ASSERT_TRUE(KeywordQuery(reader.get(), &pool_, nullptr, term, &got).ok());
     EXPECT_TRUE(got.empty()) << term;

@@ -86,7 +86,8 @@ TEST_F(TableTest, AppendedDataReadsBack) {
   ASSERT_TRUE(t->Append(batch).ok());
   auto snap = t->GetSnapshot().MoveValue();
   ASSERT_EQ(snap.files.size(), 1u);
-  auto reader = format::FileReader::Open(&store_, snap.files[0].path, nullptr)
+  auto reader = format::FileReader::Open(&store_, snap.files[0].path,
+                                         snap.files[0].bytes, nullptr)
                     .MoveValue();
   ColumnVector msg;
   ASSERT_TRUE(reader->ReadColumn(1, nullptr, &msg).ok());
@@ -124,7 +125,8 @@ TEST_F(TableTest, CompactMergesSmallFiles) {
   EXPECT_EQ(after.TotalRows(), 40u);
 
   // Merged content preserves all rows.
-  auto reader = format::FileReader::Open(&store_, after.files[0].path, nullptr)
+  auto reader = format::FileReader::Open(&store_, after.files[0].path,
+                                         after.files[0].bytes, nullptr)
                     .MoveValue();
   ColumnVector ids;
   ASSERT_TRUE(reader->ReadColumn(0, nullptr, &ids).ok());

@@ -1,7 +1,9 @@
 // Unit tests for the sharded read-through CachingStore: read-through
 // semantics, LRU capacity enforcement, hit/miss/evict accounting, shard
-// behavior, invalidation, error paths, and concurrent readers (the latter
-// doubles as the TSan target — see .github/workflows/sanitize.yml).
+// behavior, invalidation, error paths, concurrent readers (the latter
+// doubles as the TSan target — see .github/workflows/sanitize.yml), and
+// GetRun: adjacent misses coalesce into one GET while entries stay keyed
+// per page.
 #include "objectstore/caching_store.h"
 
 #include <gtest/gtest.h>
@@ -12,8 +14,11 @@
 #include <thread>
 #include <vector>
 
+#include "format/page.h"
+#include "format/reader.h"
 #include "objectstore/fault_injection.h"
 #include "objectstore/object_store.h"
+#include "objectstore/read_batch.h"
 
 namespace rottnest::objectstore {
 namespace {
@@ -411,6 +416,172 @@ TEST_F(CachingStoreTest, WaveLedgerByteCapStopsRecording) {
   EXPECT_EQ(cache.stats().cache_wave_hits.load(), 1u);
   EXPECT_EQ(inner_.stats().gets.load(), 3u);
   cache.EndWave();
+}
+
+// ---------------------------------------------------------------------------
+// GetRun through ReadBatch: only runs of adjacent MISSES coalesce, and every
+// fetched page lands under its own (key, offset, length) entry.
+// ---------------------------------------------------------------------------
+
+/// Requests for `n` adjacent 10-byte pages of `key` starting at page `first`.
+std::vector<RangeRequest> Pages(const std::string& key, int first, int n) {
+  std::vector<RangeRequest> reqs;
+  for (int i = first; i < first + n; ++i) {
+    reqs.push_back({key, static_cast<uint64_t>(i) * 10, 10});
+  }
+  return reqs;
+}
+
+TEST_F(CachingStoreTest, AdjacentMissesCoalesceIntoOneGetKeyedPerPage) {
+  PutObject("a", 100);
+  CachingStore cache(&inner_, {});
+  std::vector<Buffer> out;
+  ASSERT_TRUE(ReadBatch(&cache, Pages("a", 0, 4), nullptr, nullptr, &out).ok());
+  EXPECT_EQ(inner_.stats().gets.load(), 1u);
+  EXPECT_EQ(inner_.stats().bytes_read.load(), 40u);
+  EXPECT_EQ(cache.stats().gets.load(), 1u);
+  EXPECT_EQ(cache.stats().cache_misses.load(), 4u);
+  EXPECT_EQ(cache.stats().cache_run_merged.load(), 3u);
+  // Page-keyed, never one entry for the run: each page is its own hit.
+  EXPECT_EQ(cache.EntryCount(), 4u);
+  Buffer page;
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(cache.GetRange("a", i * 10, 10, &page).ok());
+    EXPECT_EQ(page, Buffer(10, 'x'));
+  }
+  EXPECT_EQ(cache.stats().cache_hits.load(), 4u);
+  EXPECT_EQ(inner_.stats().gets.load(), 1u);
+}
+
+TEST_F(CachingStoreTest, PartlyCachedRunFetchesOnlyTheMisses) {
+  std::string v;
+  for (int i = 0; i < 100; ++i) v.push_back(static_cast<char>(i));
+  ASSERT_TRUE(inner_.Put("a", Slice(v)).ok());
+  CachingStore cache(&inner_, {});
+  Buffer page;
+  ASSERT_TRUE(cache.GetRange("a", 10, 10, &page).ok());  // Page 1 resident.
+  const uint64_t resident = cache.ResidentBytes();
+
+  // Pages 0..3: page 1 is served from cache and splits the misses into
+  // page 0 alone and pages 2-3 together. No byte is read twice, and the two
+  // miss runs are separate requests of one round (not one after another
+  // inside a single run).
+  std::vector<Buffer> out;
+  IoTrace trace;
+  ASSERT_TRUE(ReadBatch(&cache, Pages("a", 0, 4), nullptr, &trace, &out).ok());
+  EXPECT_EQ(trace.total_gets(), 3u);
+  EXPECT_EQ(trace.depth(), 1u);
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(out[i], Buffer(v.begin() + i * 10, v.begin() + i * 10 + 10));
+  }
+  EXPECT_EQ(inner_.stats().gets.load(), 3u);         // 1 earlier + 2 now.
+  EXPECT_EQ(inner_.stats().bytes_read.load(), 40u);  // 10 + 10 + 20.
+  EXPECT_EQ(cache.stats().cache_hits.load(), 1u);
+  EXPECT_EQ(cache.stats().cache_misses.load(), 4u);
+  // Three new page entries, each charged like a single-page read.
+  EXPECT_EQ(cache.EntryCount(), 4u);
+  EXPECT_EQ(cache.ResidentBytes(), 4 * resident);
+
+  // GetRun itself splits the same way when a page turns resident between
+  // the batch's residency check and the fetch.
+  CachingStore fresh(&inner_, {});
+  ASSERT_TRUE(fresh.GetRange("a", 10, 10, &page).ok());
+  const uint64_t gets = inner_.stats().gets.load();
+  ASSERT_TRUE(fresh.GetRun("a", {{0, 10}, {10, 10}, {20, 10}, {30, 10}}, &out)
+                  .ok());
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(out[i], Buffer(v.begin() + i * 10, v.begin() + i * 10 + 10));
+  }
+  EXPECT_EQ(inner_.stats().gets.load() - gets, 2u);
+  EXPECT_EQ(fresh.stats().cache_hits.load(), 1u);
+  EXPECT_EQ(fresh.EntryCount(), 4u);
+}
+
+TEST_F(CachingStoreTest, FailedCoalescedGetCachesNothingAndEmptiesItsRun) {
+  PutObject("a", 100);
+  PutObject("b", 100);
+  FaultInjectingStore faulty(&inner_);
+  CachingStore cache(&faulty, {});
+  faulty.SetFailurePoint([](const std::string&, const std::string& key) {
+    return key == "a" ? Status::Unavailable("injected") : Status::OK();
+  });
+  std::vector<RangeRequest> reqs = Pages("a", 0, 3);
+  reqs.push_back({"b", 0, 10});
+  std::vector<Buffer> out(4, Buffer(7, 'Z'));
+  EXPECT_TRUE(ReadBatch(&cache, reqs, nullptr, nullptr, &out).IsUnavailable());
+  EXPECT_TRUE(out[0].empty());
+  EXPECT_TRUE(out[1].empty());
+  EXPECT_TRUE(out[2].empty());
+  EXPECT_EQ(out[3], Buffer(10, 'x'));
+  EXPECT_EQ(cache.EntryCount(), 1u);  // Only b's page.
+
+  faulty.SetFailurePoint({});
+  ASSERT_TRUE(ReadBatch(&cache, reqs, nullptr, nullptr, &out).ok());
+  EXPECT_EQ(out[1], Buffer(10, 'x'));
+  EXPECT_EQ(cache.EntryCount(), 4u);
+}
+
+TEST_F(CachingStoreTest, FlippedByteInOnePageOfARunIsTypedCorruption) {
+  // Three encoded pages back to back, probed in one run.
+  format::ColumnVector col(format::ColumnVector::Ints{1, 2, 3, 4, 5, 6});
+  Buffer file;
+  std::vector<format::PageFetch> fetches;
+  for (size_t p = 0; p < 3; ++p) {
+    format::PageFetch f;
+    f.key = "f";
+    f.page.offset = file.size();
+    f.page.size = static_cast<uint32_t>(
+        format::EncodePage(col, 2 * p, 2 * p + 2, compress::Codec::kNone,
+                           &file));
+    f.page.num_values = 2;
+    f.page.first_row = 2 * p;
+    fetches.push_back(f);
+  }
+  file[fetches[1].page.offset + fetches[1].page.size - 1] ^= 0xff;
+  ASSERT_TRUE(inner_.Put("f", Slice(file)).ok());
+  CachingStore cache(&inner_, {});
+  const format::ColumnSchema schema{"c", format::PhysicalType::kInt64, 0};
+  std::vector<format::ColumnVector> decoded;
+  Status s = format::ReadPages(&cache, fetches, schema, nullptr, nullptr,
+                               &decoded);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  EXPECT_EQ(inner_.stats().gets.load(), 1u);
+
+  // The intact neighbours of the damaged page decode on their own.
+  ASSERT_TRUE(format::ReadPages(&cache, {fetches[0], fetches[2]}, schema,
+                                nullptr, nullptr, &decoded)
+                  .ok());
+  EXPECT_EQ(decoded[1].ints(), (format::ColumnVector::Ints{5, 6}));
+}
+
+TEST_F(CachingStoreTest, ConcurrentOverlappingRunsFetchEachPageOnce) {
+  // Readers race over overlapping runs of one object. Single-flight works
+  // per page inside runs: whatever the interleaving, every page is fetched
+  // from the store exactly once and every reader sees the right bytes.
+  std::string v;
+  for (int i = 0; i < 150; ++i) v.push_back(static_cast<char>(i));
+  ASSERT_TRUE(inner_.Put("a", Slice(v)).ok());
+  CachingStore cache(&inner_, {});
+  ThreadPool pool(4);
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 8; ++t) {
+    readers.emplace_back([&, t] {
+      for (int round = 0; round < 20; ++round) {
+        int first = (t * 3 + round) % 8;
+        std::vector<RangeRequest> reqs = Pages("a", first, 8);
+        std::vector<Buffer> out;
+        ASSERT_TRUE(ReadBatch(&cache, reqs, &pool, nullptr, &out).ok());
+        for (size_t i = 0; i < reqs.size(); ++i) {
+          ASSERT_EQ(out[i], Buffer(v.begin() + reqs[i].offset,
+                                   v.begin() + reqs[i].offset + 10));
+        }
+      }
+    });
+  }
+  for (auto& t : readers) t.join();
+  EXPECT_EQ(cache.stats().cache_misses.load(), 15u);  // Pages 0..14.
+  EXPECT_EQ(inner_.stats().bytes_read.load(), 150u);
+  EXPECT_EQ(cache.EntryCount(), 15u);
 }
 
 }  // namespace

@@ -44,7 +44,9 @@ TEST(TracerTest, ParentIdAlwaysSmallerThanChild) {
   EXPECT_LT(a, b);
   EXPECT_LT(b, leaf);
   for (const SpanData& s : tracer.Spans()) {
-    if (s.parent != kNoSpan) EXPECT_LT(s.parent, s.id);
+    if (s.parent != kNoSpan) {
+      EXPECT_LT(s.parent, s.id);
+    }
   }
   EXPECT_EQ(tracer.span_count(), 4u);
 }

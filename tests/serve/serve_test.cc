@@ -116,8 +116,11 @@ uint64_t CachePhysicalGets(const Rottnest& client) {
 
 uint64_t CacheLogicalGets(const Rottnest& client) {
   const IoStats& s = client.cache()->stats();
+  // A coalesced run of adjacent pages is ONE traced read but one cache
+  // outcome per page; cache_run_merged counts the difference.
   return s.cache_hits.load() + s.cache_misses.load() +
-         s.cache_coalesced.load() + s.cache_wave_hits.load();
+         s.cache_coalesced.load() + s.cache_wave_hits.load() -
+         s.cache_run_merged.load();
 }
 
 // ---------------------------------------------------------------------------
