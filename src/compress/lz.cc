@@ -118,8 +118,11 @@ Buffer LzCompress(Slice input) {
 }
 
 Status LzDecompress(Slice input, size_t uncompressed_size, Buffer* out) {
-  out->clear();
-  out->reserve(uncompressed_size);
+  // Presized output written through a cursor: literals and matches that do
+  // not overlap their source are single memcpys.
+  out->resize(uncompressed_size);
+  uint8_t* dst = out->data();
+  size_t pos = 0;
   const uint8_t* p = input.data();
   const uint8_t* end = p + input.size();
 
@@ -143,10 +146,11 @@ Status LzDecompress(Slice input, size_t uncompressed_size, Buffer* out) {
     if (static_cast<size_t>(end - p) < literal_len) {
       return Status::Corruption("lz: truncated literals");
     }
-    if (out->size() + literal_len > uncompressed_size) {
+    if (literal_len > uncompressed_size - pos) {
       return Status::Corruption("lz: output overflow (literals)");
     }
-    out->insert(out->end(), p, p + literal_len);
+    if (literal_len > 0) std::memcpy(dst + pos, p, literal_len);
+    pos += literal_len;
     p += literal_len;
 
     if (p >= end) break;  // Final sequence has no match.
@@ -154,24 +158,27 @@ Status LzDecompress(Slice input, size_t uncompressed_size, Buffer* out) {
     if (end - p < 2) return Status::Corruption("lz: truncated offset");
     size_t offset = p[0] | (static_cast<size_t>(p[1]) << 8);
     p += 2;
-    if (offset == 0 || offset > out->size()) {
+    if (offset == 0 || offset > pos) {
       return Status::Corruption("lz: bad match offset");
     }
     size_t match_len;
     ROTTNEST_RETURN_NOT_OK(read_extended(token & 0x0f, &match_len));
     match_len += kMinMatch;
-    if (out->size() + match_len > uncompressed_size) {
+    if (match_len > uncompressed_size - pos) {
       return Status::Corruption("lz: output overflow (match)");
     }
-    // Byte-by-byte copy: overlapping matches (offset < match_len) are the
-    // run-length case and must replicate bytes produced by this same copy.
-    size_t src = out->size() - offset;
-    for (size_t i = 0; i < match_len; ++i) {
-      out->push_back((*out)[src + i]);
+    const uint8_t* src = dst + pos - offset;
+    if (offset >= match_len) {
+      std::memcpy(dst + pos, src, match_len);
+    } else {
+      // Overlapping match (offset < length) is the run-length case: it
+      // must replicate bytes produced by this same copy, one at a time.
+      for (size_t i = 0; i < match_len; ++i) dst[pos + i] = src[i];
     }
+    pos += match_len;
   }
 
-  if (out->size() != uncompressed_size) {
+  if (pos != uncompressed_size) {
     return Status::Corruption("lz: size mismatch after decompress");
   }
   return Status::OK();

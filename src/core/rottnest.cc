@@ -126,7 +126,7 @@ class DvCache {
 /// In-situ probe (paper §IV-B step 2): reads the candidate pages and the
 /// not-yet-loaded deletion vectors of their files in ONE parallel wave
 /// (byte-adjacent pages share a GET), then decodes the pages.
-Status ProbePages(objectstore::ObjectStore* store, ThreadPool* pool,
+Status ProbePages(objectstore::ObjectStore* store, ThreadPool* io,
                   const std::vector<PageFetch>& fetches,
                   const ColumnSchema& column_schema, DvCache* dvs,
                   objectstore::IoTrace* trace,
@@ -138,7 +138,7 @@ Status ProbePages(objectstore::ObjectStore* store, ThreadPool* pool,
   std::vector<std::string> dv_keys = dvs->Queue(files, &reqs);
   std::vector<Buffer> raw;
   ROTTNEST_RETURN_NOT_OK(
-      objectstore::ReadBatch(store, reqs, pool, trace, &raw));
+      objectstore::ReadBatch(store, reqs, io, trace, &raw));
   ROTTNEST_RETURN_NOT_OK(dvs->Load(dv_keys, raw.data() + fetches.size()));
   raw.resize(fetches.size());
   return format::DecodePages(fetches, raw, column_schema, out);
@@ -151,6 +151,14 @@ struct Rottnest::Plan {
   std::vector<IndexEntry> indexes;
   std::vector<DataFile> unindexed;
   int column_index = -1;
+
+  /// Leaves every snapshot file to the exact scan path, for a pattern the
+  /// FM indexes cannot answer (index::HasReservedBytes). Not an index
+  /// failure: nothing is degraded or quarantined.
+  void ScanEverything() {
+    indexes.clear();
+    unindexed = snapshot.files;
+  }
 };
 
 namespace {
@@ -385,7 +393,7 @@ void MarkCutShort(SearchResult* result, std::string what, const Status& s) {
 /// is checked per row group (page batch), so one huge file cannot blow
 /// past the time budget.
 Status ScanFileRows(
-    objectstore::ObjectStore* store, ThreadPool* pool, const DataFile& file,
+    objectstore::ObjectStore* store, ThreadPool* io, const DataFile& file,
     int col_idx, RangeFilter* rf, DvCache* dvs, const Deadline& deadline,
     objectstore::IoTrace* trace, bool* scanned,
     const std::function<Status(uint64_t, const std::string&)>& visit) {
@@ -394,7 +402,7 @@ Status ScanFileRows(
       format::FileReader::FooterRequest(file.path, file.bytes)};
   std::vector<std::string> dv_keys = dvs->Queue({file.path}, &reqs);
   std::vector<Buffer> raw;
-  Status read = objectstore::ReadBatch(store, reqs, pool, trace, &raw);
+  Status read = objectstore::ReadBatch(store, reqs, io, trace, &raw);
   ROTTNEST_ASSIGN_OR_RETURN(
       std::unique_ptr<format::FileReader> reader,
       format::FileReader::OpenFromTail(store, file.path, file.bytes, read,
@@ -528,7 +536,8 @@ using RowPredicate =
 /// The per-search inputs of the brute-scan fallback.
 struct FileScan {
   objectstore::ObjectStore* store;
-  ThreadPool* pool;
+  ThreadPool* pool;  ///< Compute pool: the per-file fan-out.
+  ThreadPool* io;    ///< I/O executor: each file's read waves.
   int col_idx;
   RangeFilter* rf;
   DvCache* dvs;
@@ -542,7 +551,7 @@ struct FileScan {
              std::vector<RowMatch>* out, bool* scanned,
              size_t limit = SIZE_MAX) const {
     return ScanFileRows(
-        store, pool, f, col_idx, rf, dvs, deadline, trace, scanned,
+        store, io, f, col_idx, rf, dvs, deadline, trace, scanned,
         [&](uint64_t row, const std::string& v) -> Status {
           float dist = 0;
           if (out->size() < limit && pred(v, &dist)) {
@@ -664,7 +673,8 @@ Rottnest::Rottnest(objectstore::ObjectStore* store, lake::Table* table,
       table_(table),
       options_(std::move(options)),
       metadata_(store, options_.index_dir),
-      pool_(options_.num_threads) {
+      pool_(options_.num_threads),
+      io_(options_.num_threads) {
   if (options_.cache_bytes > 0) {
     objectstore::CacheOptions copts;
     copts.capacity_bytes = options_.cache_bytes;
@@ -1105,10 +1115,10 @@ Result<IndexReport> Rottnest::Index(const std::string& column, IndexType type,
   {
     internal::OpPhase phase(&op, "plan");
     local.RecordList();
-    ROTTNEST_ASSIGN_OR_RETURN(Snapshot snapshot, table_->GetSnapshot());
     local.RecordList();
-    ROTTNEST_ASSIGN_OR_RETURN(std::vector<IndexEntry> entries,
-                              metadata_.ReadAll());
+    Snapshot snapshot;
+    std::vector<IndexEntry> entries;
+    ROTTNEST_RETURN_NOT_OK(ResolveMetadata(-1, &snapshot, &entries));
     std::set<std::string> indexed;
     for (const IndexEntry& e : entries) {
       if (e.column != column || e.index_type != IndexTypeName(type)) continue;
@@ -1163,16 +1173,30 @@ Result<IndexReport> Rottnest::Index(const std::string& column, IndexType type,
 // ---------------------------------------------------------------------------
 // search
 
+Status Rottnest::ResolveMetadata(lake::Version version, Snapshot* snapshot,
+                                 std::vector<IndexEntry>* entries) {
+  lake::ReplayTask lake_log, registry;
+  lake_log.log = &table_->log();
+  lake_log.version = version;
+  registry.log = &metadata_.log();
+  lake::TxnLog::ReplayAll({&lake_log, &registry}, &io_);
+  ROTTNEST_ASSIGN_OR_RETURN(*snapshot, table_->SnapshotFrom(lake_log));
+  ROTTNEST_ASSIGN_OR_RETURN(*entries,
+                            lake::MetadataTable::EntriesFrom(registry));
+  return Status::OK();
+}
+
 Status Rottnest::MakePlan(const std::string& column, IndexType type,
                           lake::Version snapshot_version,
                           objectstore::IoTrace* trace, Plan* out) {
   // Plan cost model: one manifest read + one metadata-table read.
-  if (trace != nullptr) trace->RecordList();
-  ROTTNEST_ASSIGN_OR_RETURN(out->snapshot,
-                            table_->GetSnapshot(snapshot_version));
-  if (trace != nullptr) trace->RecordList();
-  ROTTNEST_ASSIGN_OR_RETURN(std::vector<IndexEntry> entries,
-                            metadata_.ReadAll());
+  if (trace != nullptr) {
+    trace->RecordList();
+    trace->RecordList();
+  }
+  std::vector<IndexEntry> entries;
+  ROTTNEST_RETURN_NOT_OK(
+      ResolveMetadata(snapshot_version, &out->snapshot, &entries));
 
   out->column_index = table_->schema().FindColumn(column);
   if (out->column_index < 0) {
@@ -1260,11 +1284,11 @@ Result<SearchResult> Rottnest::ExecUuid(const std::string& column,
             ComponentFileReader::Open(read_store(), entry.index_path, t));
         std::vector<PageId> hits;
         ROTTNEST_RETURN_NOT_OK(
-            index::TrieQuery(reader.get(), &pool_, t, key, &hits));
+            index::TrieQuery(reader.get(), &io_, t, key, &hits));
         if (hits.empty()) return Status::OK();
         PageTable pages;
         ROTTNEST_RETURN_NOT_OK(
-            index::LoadPageTable(reader.get(), &pool_, t, &pages));
+            index::LoadPageTable(reader.get(), &io_, t, &pages));
         for (PageId p : hits) {
           // Filter postings pointing outside the snapshot (paper §IV-B
           // step 2).
@@ -1301,7 +1325,7 @@ Result<SearchResult> Rottnest::ExecUuid(const std::string& column,
     auto probe = [&]() -> Status {
       ROTTNEST_RETURN_NOT_OK(deadline.Check("probe"));
       std::vector<ColumnVector> probed;
-      ROTTNEST_RETURN_NOT_OK(ProbePages(read_store(), &pool_, fetches,
+      ROTTNEST_RETURN_NOT_OK(ProbePages(read_store(), &io_, fetches,
                                         col_schema, &dvs, trace, &probed));
       result.pages_probed = fetches.size();
       for (size_t i = 0; i < fetches.size(); ++i) {
@@ -1331,8 +1355,8 @@ Result<SearchResult> Rottnest::ExecUuid(const std::string& column,
     // scanned unconditionally (a fault-free query would have consulted
     // their index regardless of k), all at once. Then the unindexed
     // fallback, one file at a time while top-k is unsatisfied.
-    FileScan fs{read_store(), &pool_, plan.column_index, &rf, &dvs, deadline,
-                opts.parallelism, [&](const std::string& v, float*) {
+    FileScan fs{read_store(), &pool_, &io_, plan.column_index, &rf, &dvs,
+                deadline, opts.parallelism, [&](const std::string& v, float*) {
                   return Slice(v) == value;
                 }};
     auto scan = [&]() -> Status {
@@ -1379,6 +1403,7 @@ Result<SearchResult> Rottnest::ExecSubstring(const std::string& column,
 
   SearchResult result;
   RecordUncovered(opts, plan.unindexed.size(), &result);
+  if (index::HasReservedBytes(Slice(pattern))) plan.ScanEverything();
   DvCache dvs(plan.snapshot);
   MatchSet found(&result.matches);
 
@@ -1397,11 +1422,11 @@ Result<SearchResult> Rottnest::ExecSubstring(const std::string& column,
         std::vector<PageId> hits;
         // Locate generously beyond k: occurrences cluster within pages.
         ROTTNEST_RETURN_NOT_OK(index::FmLocatePages(
-            reader.get(), &pool_, t, Slice(pattern), 4 * k + 16, &hits));
+            reader.get(), &io_, t, Slice(pattern), 4 * k + 16, &hits));
         if (hits.empty()) return Status::OK();
         PageTable pages;
         ROTTNEST_RETURN_NOT_OK(
-            index::LoadPageTable(reader.get(), &pool_, t, &pages));
+            index::LoadPageTable(reader.get(), &io_, t, &pages));
         for (PageId p : hits) {
           if (!plan.snapshot.ContainsFile(pages.file_of(p))) continue;
           per_index[i].push_back(pages.MakeFetch(p));
@@ -1435,7 +1460,7 @@ Result<SearchResult> Rottnest::ExecSubstring(const std::string& column,
     auto probe = [&]() -> Status {
       ROTTNEST_RETURN_NOT_OK(deadline.Check("probe"));
       std::vector<ColumnVector> probed;
-      ROTTNEST_RETURN_NOT_OK(ProbePages(read_store(), &pool_, fetches,
+      ROTTNEST_RETURN_NOT_OK(ProbePages(read_store(), &io_, fetches,
                                         col_schema, &dvs, trace, &probed));
       result.pages_probed = fetches.size();
       for (size_t i = 0; i < fetches.size(); ++i) {
@@ -1464,8 +1489,8 @@ Result<SearchResult> Rottnest::ExecSubstring(const std::string& column,
     // scanned unconditionally (a fault-free query would have consulted
     // their index regardless of k), all at once. Then the unindexed
     // fallback, one file at a time while top-k is unsatisfied.
-    FileScan fs{read_store(), &pool_, plan.column_index, &rf, &dvs, deadline,
-                opts.parallelism, [&](const std::string& v, float*) {
+    FileScan fs{read_store(), &pool_, &io_, plan.column_index, &rf, &dvs,
+                deadline, opts.parallelism, [&](const std::string& v, float*) {
                   return v.find(pattern) != std::string::npos;
                 }};
     auto scan = [&]() -> Status {
@@ -1544,13 +1569,13 @@ Result<SearchResult> Rottnest::ExecVector(const std::string& column,
             std::unique_ptr<ComponentFileReader> reader,
             ComponentFileReader::Open(read_store(), entry.index_path, t));
         std::vector<index::VectorCandidate> hits;
-        ROTTNEST_RETURN_NOT_OK(index::IvfPqSearch(reader.get(), &pool_, t,
+        ROTTNEST_RETURN_NOT_OK(index::IvfPqSearch(reader.get(), &io_, t,
                                                   query, dim, nprobe, refine,
                                                   &hits));
         if (hits.empty()) return Status::OK();
         PageTable pages;
         ROTTNEST_RETURN_NOT_OK(
-            index::LoadPageTable(reader.get(), &pool_, t, &pages));
+            index::LoadPageTable(reader.get(), &io_, t, &pages));
         for (const auto& h : hits) {
           if (!plan.snapshot.ContainsFile(pages.file_of(h.page))) continue;
           per_index[i].push_back({pages.file_of(h.page), h.page,
@@ -1600,7 +1625,7 @@ Result<SearchResult> Rottnest::ExecVector(const std::string& column,
         }
       }
       std::vector<ColumnVector> probed;
-      ROTTNEST_RETURN_NOT_OK(ProbePages(read_store(), &pool_, fetches,
+      ROTTNEST_RETURN_NOT_OK(ProbePages(read_store(), &io_, fetches,
                                         col_schema, &dvs, trace, &probed));
       result.pages_probed = fetches.size();
 
@@ -1629,8 +1654,8 @@ Result<SearchResult> Rottnest::ExecVector(const std::string& column,
     // Scoring queries must rank ALL data: unindexed files are always
     // scanned exhaustively (paper §IV-B step 3), and so are files whose
     // only index coverage degraded — all of them at once.
-    FileScan fs{read_store(), &pool_, plan.column_index, &rf, &dvs, deadline,
-                opts.parallelism,
+    FileScan fs{read_store(), &pool_, &io_, plan.column_index, &rf, &dvs,
+                deadline, opts.parallelism,
                 [&](const std::string& v, float* dist) {
                   *dist = index::SquaredL2(
                       query, reinterpret_cast<const float*>(v.data()), dim);
@@ -1726,8 +1751,8 @@ Result<SearchResult> Rottnest::ExecRegex(const std::string& column,
   {
     internal::OpPhase phase(&op, "scan");
     MatchSet found(&result.matches);
-    FileScan fs{read_store(), &pool_, plan.column_index, &rf, &dvs, deadline,
-                opts.parallelism,
+    FileScan fs{read_store(), &pool_, &io_, plan.column_index, &rf, &dvs,
+                deadline, opts.parallelism,
                 [&](const std::string& v, float*) {
                   return std::regex_search(v, re);
                 }};
@@ -1829,11 +1854,11 @@ Result<SearchResult> Rottnest::ExecKeyword(const std::string& column,
             ComponentFileReader::Open(read_store(), entry.index_path, t));
         std::vector<PageId> hits;
         ROTTNEST_RETURN_NOT_OK(index::KeywordQueryMany(
-            reader.get(), &pool_, t, norm, require_all, &hits));
+            reader.get(), &io_, t, norm, require_all, &hits));
         if (hits.empty()) return Status::OK();
         PageTable pages;
         ROTTNEST_RETURN_NOT_OK(
-            index::LoadPageTable(reader.get(), &pool_, t, &pages));
+            index::LoadPageTable(reader.get(), &io_, t, &pages));
         for (PageId p : hits) {
           if (!plan.snapshot.ContainsFile(pages.file_of(p))) continue;
           per_index[i].push_back(pages.MakeFetch(p));
@@ -1867,7 +1892,7 @@ Result<SearchResult> Rottnest::ExecKeyword(const std::string& column,
     auto probe = [&]() -> Status {
       ROTTNEST_RETURN_NOT_OK(deadline.Check("probe"));
       std::vector<ColumnVector> probed;
-      ROTTNEST_RETURN_NOT_OK(ProbePages(read_store(), &pool_, fetches,
+      ROTTNEST_RETURN_NOT_OK(ProbePages(read_store(), &io_, fetches,
                                         col_schema, &dvs, trace, &probed));
       result.pages_probed = fetches.size();
       for (size_t i = 0; i < fetches.size(); ++i) {
@@ -1896,8 +1921,8 @@ Result<SearchResult> Rottnest::ExecKeyword(const std::string& column,
     // scanned unconditionally (a fault-free query would have consulted
     // their index regardless of k), all at once. Then the unindexed
     // fallback, one file at a time while top-k is unsatisfied.
-    FileScan fs{read_store(), &pool_, plan.column_index, &rf, &dvs, deadline,
-                opts.parallelism, [&](const std::string& v, float*) {
+    FileScan fs{read_store(), &pool_, &io_, plan.column_index, &rf, &dvs,
+                deadline, opts.parallelism, [&](const std::string& v, float*) {
                   return row_matches(v);
                 }};
     auto scan = [&]() -> Status {
@@ -1938,6 +1963,7 @@ Result<uint64_t> Rottnest::ExecCount(const std::string& column,
   }
 
   RecordUncovered(opts, plan.unindexed.size(), nullptr);
+  if (index::HasReservedBytes(Slice(pattern))) plan.ScanEverything();
 
   // An index count is exact only when everything it covers is live and
   // deletion-free; otherwise those files are counted by scanning.
@@ -1979,7 +2005,7 @@ Result<uint64_t> Rottnest::ExecCount(const std::string& column,
             std::unique_ptr<ComponentFileReader> reader,
             ComponentFileReader::Open(read_store(),
                                       exact_entries[i]->index_path, t));
-        return index::FmCount(reader.get(), &pool_, t, Slice(pattern),
+        return index::FmCount(reader.get(), &io_, t, Slice(pattern),
                               &counts[i]);
       });
 
@@ -2025,7 +2051,7 @@ Result<uint64_t> Rottnest::ExecCount(const std::string& column,
       nullptr, nullptr, [&](size_t i, objectstore::IoTrace* t) -> Status {
         bool scanned = false;
         return ScanFileRows(
-            read_store(), &pool_, *files[i], plan.column_index, &all_rows,
+            read_store(), &io_, *files[i], plan.column_index, &all_rows,
             &dvs, Deadline(), t, &scanned,
             [&](uint64_t, const std::string& v) -> Status {
               for (size_t pos = v.find(pattern); pos != std::string::npos;
@@ -2172,12 +2198,13 @@ Result<std::vector<IndexDescription>> Rottnest::DescribeIndexes(
   // Same plan-state cost model as a search: metadata table + manifest.
   internal::OpObs op(store_, cache_store_.get(), opts.obs,
                      "describe_indexes");
-  if (opts.trace != nullptr) opts.trace->RecordList();
-  ROTTNEST_ASSIGN_OR_RETURN(std::vector<IndexEntry> entries,
-                            metadata_.ReadAll());
-  if (opts.trace != nullptr) opts.trace->RecordList();
-  ROTTNEST_ASSIGN_OR_RETURN(Snapshot snapshot,
-                            table_->GetSnapshot(opts.snapshot));
+  if (opts.trace != nullptr) {
+    opts.trace->RecordList();
+    opts.trace->RecordList();
+  }
+  Snapshot snapshot;
+  std::vector<IndexEntry> entries;
+  ROTTNEST_RETURN_NOT_OK(ResolveMetadata(opts.snapshot, &snapshot, &entries));
   std::vector<IndexDescription> result;
   result.reserve(entries.size());
   for (IndexEntry& e : entries) {
@@ -2215,7 +2242,7 @@ Result<CompactReport> Rottnest::Compact(const std::string& column,
     internal::OpPhase phase(&op, "plan");
     local.RecordList();
     ROTTNEST_ASSIGN_OR_RETURN(std::vector<IndexEntry> entries,
-                              metadata_.ReadAll());
+                              metadata_.ReadAll(&io_));
     for (const IndexEntry& e : entries) {
       if (e.column != column || e.index_type != IndexTypeName(type)) continue;
       objectstore::ObjectMeta meta;
@@ -2380,12 +2407,13 @@ Result<VacuumReport> Rottnest::Vacuum(lake::Version min_snapshot,
     internal::OpPhase phase(&op, "plan");
     // Plan: data files live in any snapshot >= min_snapshot.
     local.RecordList();
-    ROTTNEST_ASSIGN_OR_RETURN(Snapshot latest, table_->GetSnapshot());
+    ROTTNEST_ASSIGN_OR_RETURN(Snapshot latest,
+                              table_->GetSnapshot(-1, &io_));
     std::set<std::string> active;
     for (lake::Version v = std::max<lake::Version>(min_snapshot, 0);
          v <= latest.version; ++v) {
       local.RecordList();
-      auto snap = table_->GetSnapshot(v);
+      auto snap = table_->GetSnapshot(v, &io_);
       if (!snap.ok()) return snap.status();
       for (const DataFile& f : snap.value().files) active.insert(f.path);
     }
@@ -2399,7 +2427,7 @@ Result<VacuumReport> Rottnest::Vacuum(lake::Version min_snapshot,
     // nondeterministic to boot).
     local.RecordList();
     ROTTNEST_ASSIGN_OR_RETURN(std::vector<IndexEntry> entries,
-                              metadata_.ReadAll());
+                              metadata_.ReadAll(&io_));
     auto cover_key = [](const IndexEntry& e, const std::string& f) {
       return e.column + '\x1f' + e.index_type + '\x1f' + f;
     };
@@ -2451,7 +2479,7 @@ Result<VacuumReport> Rottnest::Vacuum(lake::Version min_snapshot,
   } else {
     local.RecordList();
     ROTTNEST_ASSIGN_OR_RETURN(std::vector<IndexEntry> remaining,
-                              metadata_.ReadAll());
+                              metadata_.ReadAll(&io_));
     for (const IndexEntry& e : remaining) referenced.insert(e.index_path);
   }
 

@@ -87,7 +87,10 @@
 // only for snapshot/metadata state. Searches additionally fan out across
 // the applicable index files of a plan on the client thread pool, so the
 // dependent-GET depth of a multi-index snapshot is the depth of ONE index
-// chain, not their sum (§V-B). Per-query cache accounting is reported in
+// chain, not their sum (§V-B). The requests themselves — page and
+// component waves, and the two metadata waves of every plan — run on a
+// separate I/O executor, so a saturated compute pool never serializes
+// them. Per-query cache accounting is reported in
 // `SearchResult`; aggregate counters live in the cache's `IoStats`.
 #ifndef ROTTNEST_CORE_ROTTNEST_H_
 #define ROTTNEST_CORE_ROTTNEST_H_
@@ -128,6 +131,10 @@ struct RottnestOptions {
   uint64_t min_vector_index_rows = 0;
   index::FmOptions fm;
   index::IvfPqOptions ivfpq;
+  /// Threads of the client's compute pool (index fan-out, decode, verify,
+  /// builds) and, separately, of its I/O executor (ReadBatch waves and the
+  /// metadata-plane waves). Two pools of this size: a request blocked on
+  /// the store never holds a compute thread.
   size_t num_threads = 8;
   /// Byte budget for the client-side read-through cache over index
   /// components, file footers and data pages (0 = caching off). Safe at any
@@ -433,10 +440,15 @@ class Rottnest {
   }
   objectstore::CachingStore* cache() { return cache_store_.get(); }
 
-  /// The client's shared thread pool — the serving layer runs its GET
+  /// The client's shared compute pool — the serving layer runs its query
   /// waves on it so one process has ONE compute pool (searches nest their
   /// own fan-outs on the same pool; ParallelFor is nested-safe).
   ThreadPool* pool() { return &pool_; }
+
+  /// The client's I/O executor: store calls only (ReadBatch waves, the
+  /// metadata-plane waves, the serving layer's snapshot pin). Sized like
+  /// the compute pool; see IssueWave (objectstore/read_batch.h).
+  ThreadPool* io_executor() { return &io_; }
 
   /// The store clock (deadlines, admission EWMA, latency accounting).
   const Clock& clock() const { return store_->clock(); }
@@ -474,6 +486,12 @@ class Rottnest {
                                      const MaintenancePlan& plan,
                                      objectstore::IoTrace* trace,
                                      internal::OpObs* op);
+
+  /// Resolves the table snapshot at `version` (< 0 = latest) and the live
+  /// index registry in one two-wave TxnLog::ReplayAll over both logs on
+  /// the I/O executor.
+  Status ResolveMetadata(lake::Version version, lake::Snapshot* snapshot,
+                         std::vector<lake::IndexEntry>* entries);
 
   /// Computes which committed index entries apply to the snapshot and
   /// which snapshot files are unindexed.
@@ -528,6 +546,7 @@ class Rottnest {
   std::unique_ptr<objectstore::CachingStore> cache_store_;
   lake::MetadataTable metadata_;
   ThreadPool pool_;
+  ThreadPool io_;
   uint64_t name_counter_ = 0;
 };
 

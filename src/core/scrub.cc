@@ -155,7 +155,7 @@ Result<ScrubReport> Rottnest::Scrub(const ScrubOptions& opts) {
   {
     internal::OpPhase phase(&op, "plan");
     local.RecordList();
-    ROTTNEST_ASSIGN_OR_RETURN(entries, metadata_.ReadAll());
+    ROTTNEST_ASSIGN_OR_RETURN(entries, metadata_.ReadAll(&io_));
   }
   report.indexes_checked = entries.size();
 
@@ -378,7 +378,7 @@ Result<RepairReport> Rottnest::Repair(const ScrubReport& scrub,
     internal::OpPhase phase(&op, "quarantine");
     local.RecordList();
     ROTTNEST_ASSIGN_OR_RETURN(std::vector<IndexEntry> entries,
-                              metadata_.ReadAll());
+                              metadata_.ReadAll(&io_));
     std::vector<std::string> quarantine;
     for (const IndexEntry& e : entries) {
       if (damaged.count(e.index_path) == 0) continue;
@@ -441,7 +441,7 @@ Result<RepairReport> Rottnest::Repair(const ScrubReport& scrub,
                        : options_.index_timeout_micros;
     local.RecordList();
     ROTTNEST_ASSIGN_OR_RETURN(std::vector<IndexEntry> remaining,
-                              metadata_.ReadAll());
+                              metadata_.ReadAll(&io_));
     std::set<std::string> referenced;
     for (const IndexEntry& e : remaining) referenced.insert(e.index_path);
     Micros cutoff = store_->clock().NowMicros() - grace;

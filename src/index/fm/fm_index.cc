@@ -593,6 +593,13 @@ Status FmIndexBuilder::Finish(const format::PageTable& pages, ThreadPool* pool,
   return EmitFmFile(column_, options_, content, pool, out);
 }
 
+bool HasReservedBytes(Slice pattern) {
+  for (size_t i = 0; i < pattern.size(); ++i) {
+    if (pattern[i] <= kReplacement) return true;
+  }
+  return false;
+}
+
 Status FmCount(ComponentFileReader* reader, ThreadPool* pool,
                objectstore::IoTrace* trace, Slice pattern, uint64_t* count,
                std::pair<uint64_t, uint64_t>* range) {

@@ -48,6 +48,13 @@ struct FmOptions {
 /// Replaces reserved bytes (0x00 separator, 0x01 sentinel) with 0x02.
 void SanitizeText(Buffer* text);
 
+/// True if `pattern` holds a byte whose index count is not the data's:
+/// FmCount rejects 0x00/0x01 (they never occur in the indexed text), and
+/// counts 0x02 over the sanitized text, where it also stands for the
+/// remapped 0x00/0x01 data bytes. Exact callers (counts, and searches that
+/// must not report a degraded index) send such patterns to a scan.
+bool HasReservedBytes(Slice pattern);
+
 /// Accumulates page texts and emits an FM index file.
 class FmIndexBuilder {
  public:

@@ -93,9 +93,14 @@ Status Checkpointer::Rewrite(Version version,
 }
 
 Result<CheckpointData> Checkpointer::Read(Version version) const {
-  const std::string key = KeyFor(version);
   Buffer body;
-  ROTTNEST_RETURN_NOT_OK(store_->Get(key, &body));
+  ROTTNEST_RETURN_NOT_OK(store_->Get(KeyFor(version), &body));
+  return Parse(version, body);
+}
+
+Result<CheckpointData> Checkpointer::Parse(Version version,
+                                           const Buffer& body) const {
+  const std::string key = KeyFor(version);
   auto parsed = Json::Parse(std::string(body.begin(), body.end()));
   if (!parsed.ok()) {
     return Status::Corruption("checkpoint " + key + ": " +
@@ -134,6 +139,11 @@ Result<CheckpointData> Checkpointer::Read(Version version) const {
 Result<CheckpointPointer> Checkpointer::ReadPointer() const {
   Buffer body;
   ROTTNEST_RETURN_NOT_OK(store_->Get(pointer_key_, &body));
+  return ParsePointer(body);
+}
+
+Result<CheckpointPointer> Checkpointer::ParsePointer(
+    const Buffer& body) const {
   auto parsed = Json::Parse(std::string(body.begin(), body.end()));
   if (!parsed.ok()) {
     return Status::Corruption("checkpoint pointer " + pointer_key_ + ": " +
@@ -185,35 +195,11 @@ Status Checkpointer::Delete(Version version) {
   return store_->Delete(KeyFor(version));
 }
 
-Result<CheckpointData> Checkpointer::FindUsable(
-    Version max_version, CheckpointPointer* pointer_out,
-    bool* fell_back) const {
-  if (fell_back) *fell_back = false;
-  auto ptr = ReadPointer();
-  if (ptr.status().IsNotFound()) {
-    // No pointer was ever written: assume no checkpoints. This keeps the
-    // steady non-checkpointed path at one extra GET (no LIST) and is safe —
-    // an orphan checkpoint missed here only costs replay time.
-    return Status::NotFound("no checkpoint under " + prefix_);
-  }
-  bool pointer_usable = ptr.ok() && ptr.value().version >= 0;
-  bool pointer_fault = !ptr.ok();  // Torn/corrupt pointer.
-  if (ptr.ok() && pointer_out) *pointer_out = ptr.value();
-  if (pointer_usable &&
-      (max_version < 0 || ptr.value().version <= max_version)) {
-    auto data = Read(ptr.value().version);
-    if (data.ok()) return data;
-    // Pointed-to checkpoint missing or rotten: fall back to the walk.
-    pointer_fault = true;
-  }
-  // Walk reasons: a faulted pointer path, or legitimate time travel below
-  // the newest checkpoint — only the former counts as a fallback.
-  if (fell_back) *fell_back = pointer_fault;
-  auto listed = List();
-  if (!listed.ok()) return listed.status();
-  const std::vector<Version>& versions = listed.value();
+Result<CheckpointData> Checkpointer::NewestUsable(Version max_version,
+                                                  Version skip) const {
+  ROTTNEST_ASSIGN_OR_RETURN(std::vector<Version> versions, List());
   for (auto it = versions.rbegin(); it != versions.rend(); ++it) {
-    if (max_version >= 0 && *it > max_version) continue;
+    if ((max_version >= 0 && *it > max_version) || *it == skip) continue;
     auto data = Read(*it);
     if (data.ok()) return data;
   }

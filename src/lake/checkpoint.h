@@ -74,23 +74,28 @@ class Checkpointer {
   /// key) on parse/checksum/shape mismatch.
   Result<CheckpointData> Read(Version version) const;
 
+  /// Validates a fetched checkpoint body (the parse half of Read), so a
+  /// caller can fetch it in a concurrent wave and parse on its own thread.
+  Result<CheckpointData> Parse(Version version, const Buffer& body) const;
+
   /// Reads the pointer. NotFound if absent, Corruption if unparseable.
   Result<CheckpointPointer> ReadPointer() const;
+
+  /// Parses a fetched pointer body (the parse half of ReadPointer).
+  Result<CheckpointPointer> ParsePointer(const Buffer& body) const;
 
   /// Moves the pointer monotonically: neither field ever regresses. Pass
   /// `truncated_before` < 0 to keep the current retention floor.
   Status AdvancePointer(Version version, Version truncated_before);
 
-  /// Best usable checkpoint at or below `max_version` (< 0 = unbounded).
-  /// Tries the pointer first (one GET on the steady path); a torn pointer
-  /// or rotten pointed-to checkpoint falls back to a LIST walk over all
-  /// checkpoint objects, newest first. Never returns Corruption — an
-  /// unusable checkpoint is skipped, and NotFound means "replay from 0".
-  /// `pointer_out` (may be null) receives the pointer when it was readable;
-  /// `fell_back` (may be null) is set when the pointer path was unusable.
-  Result<CheckpointData> FindUsable(Version max_version,
-                                    CheckpointPointer* pointer_out,
-                                    bool* fell_back) const;
+  /// The LIST walk behind a pointer that cannot serve: the newest
+  /// checkpoint at or below `max_version` (< 0 = unbounded) that validates,
+  /// tried newest first, skipping `skip` (a version already found rotten;
+  /// pass -1 for none). Never returns Corruption — an unusable checkpoint
+  /// is skipped, and NotFound means "replay from 0". Other errors are the
+  /// LIST's own.
+  Result<CheckpointData> NewestUsable(Version max_version,
+                                      Version skip) const;
 
   /// Versions of all checkpoint objects under the prefix (sorted ascending;
   /// includes orphans and rotten ones — existence only, no validation).

@@ -79,16 +79,22 @@ Result<Version> MetadataTable::Update(const std::vector<IndexEntry>& added,
   return log_.CommitNext(actions);
 }
 
-Result<std::vector<IndexEntry>> MetadataTable::ReadAll() {
-  std::vector<Json> actions;
-  auto replayed = log_.Replay(-1, &actions);
-  if (replayed.status().IsNotFound()) {
+Result<std::vector<IndexEntry>> MetadataTable::ReadAll(ThreadPool* io) {
+  ReplayTask task;
+  task.log = &log_;
+  TxnLog::ReplayAll({&task}, io);
+  return EntriesFrom(task);
+}
+
+Result<std::vector<IndexEntry>> MetadataTable::EntriesFrom(
+    const ReplayTask& replayed) {
+  if (replayed.status.IsNotFound()) {
     return std::vector<IndexEntry>{};  // Empty registry.
   }
-  if (!replayed.ok()) return replayed.status();
+  if (!replayed.status.ok()) return replayed.status;
 
   std::map<std::string, IndexEntry> live;
-  for (const Json& a : actions) {
+  for (const Json& a : replayed.actions) {
     Json payload;
     if (a.Get("addIndex", &payload)) {
       IndexEntry e;

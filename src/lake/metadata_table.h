@@ -41,8 +41,14 @@ class MetadataTable {
   Result<Version> Update(const std::vector<IndexEntry>& added,
                          const std::vector<std::string>& removed);
 
-  /// All currently committed entries.
-  Result<std::vector<IndexEntry>> ReadAll();
+  /// All currently committed entries: a one-log TxnLog::ReplayAll with
+  /// its requests on `io` (inline when null).
+  Result<std::vector<IndexEntry>> ReadAll(ThreadPool* io = nullptr);
+
+  /// The live entries a replay of the registry log produced (an empty set
+  /// for an empty log; the error of any other failed replay).
+  static Result<std::vector<IndexEntry>> EntriesFrom(
+      const ReplayTask& replayed);
 
   /// Checkpoints the registry log (see Table::Checkpoint).
   Result<Version> Checkpoint() { return log_.WriteCheckpoint(); }

@@ -236,16 +236,21 @@ Result<Version> Table::Append(const format::RowBatch& batch) {
   return log_.CommitNext({MakeAddAction(df)});
 }
 
-Result<Snapshot> Table::GetSnapshot(Version version) {
-  std::vector<Json> actions;
-  auto replayed = log_.Replay(version, &actions);
-  if (!replayed.ok()) return replayed.status();
+Result<Snapshot> Table::GetSnapshot(Version version, ThreadPool* io) {
+  ReplayTask task;
+  task.log = &log_;
+  task.version = version;
+  TxnLog::ReplayAll({&task}, io);
+  return SnapshotFrom(task);
+}
 
+Result<Snapshot> Table::SnapshotFrom(const ReplayTask& replayed) const {
+  if (!replayed.status.ok()) return replayed.status;
   Snapshot snap;
-  snap.version = replayed.value();
+  snap.version = replayed.replayed;
   snap.schema = schema_;
   std::map<std::string, DataFile> live;
-  for (const Json& a : actions) {
+  for (const Json& a : replayed.actions) {
     Json payload;
     if (a.Get("add", &payload)) {
       DataFile df;

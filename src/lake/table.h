@@ -66,8 +66,14 @@ class Table {
   /// Appends a batch as one new data file. Returns the committed version.
   Result<Version> Append(const format::RowBatch& batch);
 
-  /// Reads the snapshot at `version` (< 0 means latest).
-  Result<Snapshot> GetSnapshot(Version version = -1);
+  /// Reads the snapshot at `version` (< 0 means latest): a one-log
+  /// TxnLog::ReplayAll with its requests on `io` (inline when null).
+  Result<Snapshot> GetSnapshot(Version version = -1,
+                               ThreadPool* io = nullptr);
+
+  /// The snapshot a replay of this table's log produced (its error, if
+  /// the replay failed) — for callers that resolve several logs at once.
+  Result<Snapshot> SnapshotFrom(const ReplayTask& replayed) const;
 
   /// Merges data files smaller than `small_file_bytes` into one file
   /// (dropping rows masked by deletion vectors). No-op if fewer than two

@@ -2,8 +2,10 @@
 
 #include <cctype>
 #include <cstdio>
+#include <map>
 
 #include "obs/metrics.h"
+#include "objectstore/read_batch.h"
 
 namespace rottnest::lake {
 
@@ -14,6 +16,11 @@ constexpr int kMaxCommitRetries = 32;
 /// Forward HEAD probes past the hint before giving up and LISTing — a
 /// burst of more than this many unseen commits falls back to the LIST.
 constexpr int kMaxTailProbes = 16;
+
+/// Entry GETs per wave. A steady-state suffix fits in one; a long replay
+/// (no checkpoint) runs in waves of this size, and a target past the tail
+/// stops at the first wave that misses instead of issuing them all.
+constexpr Version kEntriesPerWave = 256;
 
 /// Parses a log-entry basename ("<20 digits>.json" exactly — checkpoint
 /// objects share the prefix but carry a ".checkpoint.json" suffix).
@@ -70,7 +77,8 @@ Status TxnLog::Commit(Version version, const std::vector<Json>& actions) {
 Result<Version> TxnLog::CommitNext(const std::vector<Json>& actions) {
   ROTTNEST_ASSIGN_OR_RETURN(
       Version latest,
-      LatestVersionOrMinusOne(tail_hint_.load(std::memory_order_relaxed)));
+      LatestVersionOrMinusOne(tail_hint_.load(std::memory_order_relaxed),
+                              nullptr));
   Version candidate = latest + 1;
   Random rng(commit_policy_.jitter_seed ^ Hash64(Slice(prefix_)));
   for (int attempt = 0; attempt < kMaxCommitRetries; ++attempt) {
@@ -84,47 +92,335 @@ Result<Version> TxnLog::CommitNext(const std::vector<Json>& actions) {
     if (sleep_) {
       sleep_(commit_policy_.BackoffFor(attempt + 1, &rng));
     }
-    ROTTNEST_ASSIGN_OR_RETURN(latest, LatestVersionOrMinusOne(candidate));
+    ROTTNEST_ASSIGN_OR_RETURN(latest,
+                              LatestVersionOrMinusOne(candidate, nullptr));
     candidate = std::max(candidate + 1, latest + 1);
   }
   return Status::Aborted("commit contention exceeded retry budget");
 }
 
-Result<Version> TxnLog::LatestVersion() {
-  return LatestVersion(tail_hint_.load(std::memory_order_relaxed));
+// ---------------------------------------------------------------------------
+// Waves
+
+/// One store call of a wave. Only Issue() runs on an executor thread;
+/// everything that interprets the answer runs on the caller.
+struct TxnLog::Request {
+  enum class Op { kHead, kGet, kList };
+
+  objectstore::ObjectStore* store = nullptr;
+  Op op = Op::kGet;
+  std::string key;  ///< Object key, or the prefix of a LIST.
+  Status status;
+  Buffer body;
+  std::vector<objectstore::ObjectMeta> listing;
+
+  Request() = default;
+  Request(objectstore::ObjectStore* s, Op o, std::string k)
+      : store(s), op(o), key(std::move(k)) {}
+
+  void Issue() {
+    switch (op) {
+      case Op::kHead: {
+        objectstore::ObjectMeta meta;
+        status = store->Head(key, &meta);
+        break;
+      }
+      case Op::kGet:
+        status = store->Get(key, &body);
+        break;
+      case Op::kList:
+        status = store->List(key, &listing);
+        break;
+    }
+  }
+};
+
+void TxnLog::Issue(const std::vector<Request*>& wave, ThreadPool* io) {
+  objectstore::IssueWave(io, wave.size(),
+                         [&](size_t i) { wave[i]->Issue(); });
 }
 
-Result<Version> TxnLog::LatestVersion(Version hint) {
-  ROTTNEST_ASSIGN_OR_RETURN(Version v, LatestVersionOrMinusOne(hint));
+/// Tail discovery's share of wave 1: HEAD(hint) and HEAD(hint + 1) when a
+/// hint is known, else the LIST. Resolve() reads the answers; only a tail
+/// that moved past hint + 1 or a missing hint entry costs more rounds.
+struct TxnLog::TailProbe {
+  Version hint = -1;
+  Request at_hint, past_hint, list;
+
+  void Plan(TxnLog* log, Version h, std::vector<Request*>* wave) {
+    hint = h;
+    if (hint >= 0) {
+      at_hint = {log->store_, Request::Op::kHead, log->KeyFor(hint)};
+      past_hint = {log->store_, Request::Op::kHead, log->KeyFor(hint + 1)};
+      wave->push_back(&at_hint);
+      wave->push_back(&past_hint);
+    } else {
+      list = {log->store_, Request::Op::kList, log->prefix_ + "/"};
+      wave->push_back(&list);
+    }
+  }
+
+  /// Highest committed version, or -1 for an empty log.
+  Result<Version> Resolve(TxnLog* log) {
+    if (hint < 0) {
+      ROTTNEST_RETURN_NOT_OK(list.status);
+      return log->TailOfListing(list.listing);
+    }
+    obs::Add(log->metrics_.tail_probes, 2);
+    // Hint entry absent (e.g. truncated by retention): fall back to LIST.
+    if (at_hint.status.IsNotFound()) return log->ListTail();
+    ROTTNEST_RETURN_NOT_OK(at_hint.status);
+    if (past_hint.status.IsNotFound()) {
+      log->NoteTail(hint);
+      return hint;
+    }
+    ROTTNEST_RETURN_NOT_OK(past_hint.status);
+    return log->ProbeForward(hint + 1, kMaxTailProbes - 1);
+  }
+};
+
+/// One ReplayTask across the waves of ReplayAll.
+struct TxnLog::Resolve {
+  ReplayTask* task = nullptr;
+  TxnLog* log = nullptr;
+  bool use_checkpoints = false;
+  TailProbe tail;   ///< Wave 1, when the target is "latest".
+  Request pointer;  ///< Wave 1, when checkpoints are on.
+  Version target = -1;
+  /// The pointer as read; version -1 when absent or unreadable. A readable
+  /// pointer tells "entry removed by retention" from "never committed".
+  CheckpointPointer ptr;
+  Request checkpoint;        ///< Wave 2: the pointed-to checkpoint.
+  Version pointed = -1;      ///< Version `checkpoint` fetches, or -1.
+  Version start = 0;         ///< First log entry applied.
+  std::map<Version, Request> entries;  ///< Fetched entries, by version.
+
+  bool failed() const { return !task->status.ok(); }
+
+  void PlanWave1(ReplayTask* t, std::vector<Request*>* wave) {
+    task = t;
+    log = t->log;
+    task->status = Status::OK();
+    task->actions.clear();
+    task->stats = ReplayStats();
+    use_checkpoints = log->use_checkpoints_.load(std::memory_order_relaxed);
+    target = task->version;
+    if (target < 0) {
+      tail.Plan(log, log->tail_hint_.load(std::memory_order_relaxed), wave);
+    }
+    if (use_checkpoints) {
+      pointer = {log->store_, Request::Op::kGet,
+                 log->ckpt_.pointer_key()};
+      wave->push_back(&pointer);
+    }
+  }
+
+  void PlanWave2(std::vector<Request*>* wave) {
+    if (target < 0) {
+      auto latest = tail.Resolve(log);
+      if (!latest.ok()) {
+        task->status = latest.status();
+        return;
+      }
+      if (latest.value() < 0) {
+        task->status = Status::NotFound("empty log: " + log->prefix_);
+        return;
+      }
+      target = latest.value();
+    }
+    if (use_checkpoints) ChooseCheckpoint();
+    if (pointed >= 0) {
+      checkpoint = {log->store_, Request::Op::kGet,
+                    log->ckpt_.KeyFor(pointed)};
+      wave->push_back(&checkpoint);
+    }
+    PlanEntries(start, wave);
+  }
+
+  /// Steady path: the pointer names a checkpoint at or below the target,
+  /// fetched in wave 2 beside the suffix. Otherwise the LIST walk runs now.
+  void ChooseCheckpoint() {
+    if (pointer.status.IsNotFound()) {
+      // No pointer was ever written: assume no checkpoints. An orphan
+      // checkpoint missed here only costs replay time.
+      obs::Increment(log->metrics_.checkpoint_misses);
+      return;
+    }
+    bool fault = !pointer.status.ok();  // Store failure reading it.
+    if (!fault) {
+      auto parsed = log->ckpt_.ParsePointer(pointer.body);
+      if (parsed.ok()) {
+        ptr = parsed.value();
+        if (ptr.version >= 0 && ptr.version <= target) {
+          pointed = ptr.version;
+          start = pointed + 1;
+          return;
+        }
+      } else {
+        fault = true;  // Torn pointer.
+      }
+    }
+    // Walk reasons: a faulted pointer, or a pointer past the target (time
+    // travel, or a checkpoint that landed after the tail probe) — only the
+    // former counts as a fallback.
+    Walk(fault, /*skip=*/-1);
+  }
+
+  void Walk(bool fell_back, Version skip) {
+    start = 0;
+    auto found = log->ckpt_.NewestUsable(target, skip);
+    if (found.ok()) {
+      Seed(std::move(found.value()));
+    } else if (found.status().IsNotFound()) {
+      obs::Increment(log->metrics_.checkpoint_misses);
+    } else {
+      // Store-level failure while consulting checkpoints: degrade to full
+      // replay rather than failing the read (never wrong, only slower).
+      fell_back = true;
+    }
+    if (fell_back) obs::Increment(log->metrics_.checkpoint_fallbacks);
+  }
+
+  void Seed(CheckpointData data) {
+    task->actions = std::move(data.actions);
+    task->stats.used_checkpoint = true;
+    task->stats.checkpoint_version = data.version;
+    start = data.version + 1;
+    obs::Increment(log->metrics_.checkpoint_hits);
+  }
+
+  /// Queues GETs for the entries from `from` on that are not fetched yet:
+  /// up to kEntriesPerWave of them, stopping at the target or at the first
+  /// entry already fetched.
+  void PlanEntries(Version from, std::vector<Request*>* wave) {
+    for (Version v = from; v <= target && v < from + kEntriesPerWave &&
+                           entries.count(v) == 0;
+         ++v) {
+      Request& r = entries[v];
+      r = {log->store_, Request::Op::kGet, log->KeyFor(v)};
+      wave->push_back(&r);
+      ++task->stats.entry_gets;
+      obs::Increment(log->metrics_.replay_gets);
+    }
+  }
+
+  void Finish(ThreadPool* io) {
+    if (pointed >= 0) {
+      auto data = checkpoint.status.ok()
+                      ? log->ckpt_.Parse(pointed, checkpoint.body)
+                      : Result<CheckpointData>(checkpoint.status);
+      if (data.ok()) {
+        Seed(std::move(data.value()));
+      } else {
+        // Pointed-to checkpoint missing or rotten: walk the others.
+        Walk(/*fell_back=*/true, /*skip=*/pointed);
+      }
+    }
+    for (Version v = start; v <= target; ++v) {
+      auto it = entries.find(v);
+      if (it == entries.end()) {
+        // Past the first wave's window, or below a rotten checkpoint.
+        std::vector<Request*> more;
+        PlanEntries(v, &more);
+        Issue(more, io);
+        it = entries.find(v);
+      }
+      const Request& r = it->second;
+      if (r.status.IsNotFound() && ptr.version >= 0 &&
+          ptr.truncated_before > v) {
+        obs::Increment(log->metrics_.truncated_reads);
+        task->status = Status::NotFound(
+            "version truncated: " + r.key +
+            " removed by log retention (truncated_before=" +
+            std::to_string(ptr.truncated_before) + ")");
+        return;
+      }
+      task->status = r.status;
+      if (task->status.ok()) {
+        task->status = log->ParseEntry(v, r.body, &task->actions);
+      }
+      if (failed()) return;
+    }
+    log->NoteTail(target);
+    task->replayed = target;
+  }
+};
+
+void TxnLog::ReplayAll(const std::vector<ReplayTask*>& tasks,
+                       ThreadPool* io) {
+  std::vector<Resolve> resolves(tasks.size());
+  std::vector<Request*> wave;
+  for (size_t i = 0; i < tasks.size(); ++i) {
+    resolves[i].PlanWave1(tasks[i], &wave);
+  }
+  Issue(wave, io);
+  wave.clear();
+  for (Resolve& r : resolves) r.PlanWave2(&wave);
+  Issue(wave, io);
+  for (Resolve& r : resolves) {
+    if (!r.failed()) r.Finish(io);
+  }
+}
+
+Result<Version> TxnLog::Replay(Version version, std::vector<Json>* actions,
+                               ReplayStats* stats, ThreadPool* io) {
+  ReplayTask task;
+  task.log = this;
+  task.version = version;
+  ReplayAll({&task}, io);
+  *actions = std::move(task.actions);
+  if (stats != nullptr) *stats = task.stats;
+  if (!task.status.ok()) return task.status;
+  return task.replayed;
+}
+
+// ---------------------------------------------------------------------------
+// Tail discovery
+
+Result<Version> TxnLog::LatestVersion(ThreadPool* io) {
+  return LatestVersion(tail_hint_.load(std::memory_order_relaxed), io);
+}
+
+Result<Version> TxnLog::LatestVersion(Version hint, ThreadPool* io) {
+  ROTTNEST_ASSIGN_OR_RETURN(Version v, LatestVersionOrMinusOne(hint, io));
   if (v < 0) return Status::NotFound("empty log: " + prefix_);
   return v;
 }
 
-Result<Version> TxnLog::LatestVersionOrMinusOne(Version hint) {
-  if (hint >= 0) {
+Result<Version> TxnLog::LatestVersionOrMinusOne(Version hint,
+                                                ThreadPool* io) {
+  TailProbe probe;
+  std::vector<Request*> wave;
+  probe.Plan(this, hint, &wave);
+  Issue(wave, io);
+  return probe.Resolve(this);
+}
+
+Result<Version> TxnLog::ProbeForward(Version known, int budget) {
+  Version v = known;
+  for (int probe = 0; probe < budget; ++probe) {
     objectstore::ObjectMeta meta;
-    Status h = store_->Head(KeyFor(hint), &meta);
+    Status next = store_->Head(KeyFor(v + 1), &meta);
     obs::Increment(metrics_.tail_probes);
-    if (h.ok()) {
-      Version v = hint;
-      for (int probe = 0; probe < kMaxTailProbes; ++probe) {
-        Status next = store_->Head(KeyFor(v + 1), &meta);
-        obs::Increment(metrics_.tail_probes);
-        if (next.IsNotFound()) {
-          NoteTail(v);
-          return v;
-        }
-        ROTTNEST_RETURN_NOT_OK(next);
-        ++v;
-      }
-      // Tail moved more than a probe window past the hint: LIST instead.
-    } else if (!h.IsNotFound()) {
-      return h;
+    if (next.IsNotFound()) {
+      NoteTail(v);
+      return v;
     }
-    // Hint entry absent (e.g. truncated by retention): fall back to LIST.
+    ROTTNEST_RETURN_NOT_OK(next);
+    ++v;
   }
+  // Tail moved more than a probe window past the hint: LIST instead.
+  return ListTail();
+}
+
+Result<Version> TxnLog::ListTail() {
   std::vector<objectstore::ObjectMeta> listing;
   ROTTNEST_RETURN_NOT_OK(store_->List(prefix_ + "/", &listing));
+  return TailOfListing(listing);
+}
+
+Version TxnLog::TailOfListing(
+    const std::vector<objectstore::ObjectMeta>& listing) {
   Version latest = -1;
   for (const auto& obj : listing) {
     // Keys are zero-padded so lexicographic order == numeric order; parse
@@ -146,10 +442,14 @@ Result<Version> TxnLog::LatestVersionOrMinusOne(Version hint) {
 }
 
 Status TxnLog::ReadVersion(Version version, std::vector<Json>* actions) {
-  const std::string key = KeyFor(version);
   Buffer body;
-  ROTTNEST_RETURN_NOT_OK(store_->Get(key, &body));
+  ROTTNEST_RETURN_NOT_OK(store_->Get(KeyFor(version), &body));
   actions->clear();
+  return ParseEntry(version, body, actions);
+}
+
+Status TxnLog::ParseEntry(Version version, const Buffer& body,
+                          std::vector<Json>* actions) const {
   std::string text(body.begin(), body.end());
   size_t pos = 0;
   while (pos < text.size()) {
@@ -162,64 +462,12 @@ Status TxnLog::ReadVersion(Version version, std::vector<Json>* actions) {
     if (!parsed.ok()) {
       // Malformed or short body (torn write, bit rot): surface as typed
       // Corruption naming the key, never a raw parse error.
-      return Status::Corruption("malformed log entry " + key + ": " +
-                                parsed.status().message());
+      return Status::Corruption("malformed log entry " + KeyFor(version) +
+                                ": " + parsed.status().message());
     }
     actions->push_back(std::move(parsed.value()));
   }
   return Status::OK();
-}
-
-Result<Version> TxnLog::Replay(Version version, std::vector<Json>* actions,
-                               ReplayStats* stats) {
-  actions->clear();
-  if (version < 0) {
-    auto latest = LatestVersion();
-    if (!latest.ok()) return latest.status();
-    version = latest.value();
-  }
-  Version start = 0;
-  CheckpointPointer ptr;
-  if (use_checkpoints_.load(std::memory_order_relaxed)) {
-    bool fell_back = false;
-    auto found = ckpt_.FindUsable(version, &ptr, &fell_back);
-    if (found.ok()) {
-      *actions = std::move(found.value().actions);
-      start = found.value().version + 1;
-      if (stats) {
-        stats->used_checkpoint = true;
-        stats->checkpoint_version = found.value().version;
-      }
-      obs::Increment(metrics_.checkpoint_hits);
-    } else if (found.status().IsNotFound()) {
-      obs::Increment(metrics_.checkpoint_misses);
-    } else {
-      // Store-level failure while consulting checkpoints: degrade to full
-      // replay rather than failing the read (never wrong, only slower).
-      fell_back = true;
-    }
-    if (fell_back) obs::Increment(metrics_.checkpoint_fallbacks);
-  }
-  // A readable pointer always names a version >= 0; use it to distinguish
-  // "entry removed by retention" from "version never committed".
-  const bool have_ptr = ptr.version >= 0;
-  for (Version v = start; v <= version; ++v) {
-    std::vector<Json> batch;
-    Status s = ReadVersion(v, &batch);
-    if (stats) ++stats->entry_gets;
-    obs::Increment(metrics_.replay_gets);
-    if (s.IsNotFound() && have_ptr && ptr.truncated_before > v) {
-      obs::Increment(metrics_.truncated_reads);
-      return Status::NotFound(
-          "version truncated: " + KeyFor(v) +
-          " removed by log retention (truncated_before=" +
-          std::to_string(ptr.truncated_before) + ")");
-    }
-    ROTTNEST_RETURN_NOT_OK(s);
-    for (Json& j : batch) actions->push_back(std::move(j));
-  }
-  NoteTail(version);
-  return version;
 }
 
 Result<Version> TxnLog::WriteCheckpoint(bool overwrite) {

@@ -11,6 +11,20 @@
 // checkpoint) instead of O(all commits). Truncate deletes pre-checkpoint
 // entries; reads past the retention floor fail with a typed
 // NotFound("version truncated ...") rather than a half-replayed state.
+//
+// Replay is two dependent rounds of concurrent requests, not a chain
+// (paper §V-B: depth is what costs on object storage):
+//
+//   wave 1: HEAD(hint), HEAD(hint + 1) and the `_last_checkpoint` GET;
+//   wave 2: the checkpoint GET plus every suffix-entry GET.
+//
+// ReplayAll runs the waves of several logs together (the table log and the
+// index registry of one query plan), so a plan waits two rounds, not the
+// eight of a serial walk. Requests run on a caller-supplied I/O executor;
+// without one they run inline, in the same waves. Only store calls run on
+// the executor — every parse happens on the caller. The rare paths keep
+// their serial walks: a hint miss LISTs or HEADs forward, a torn pointer,
+// rotten checkpoint or pointer beyond the target walks the checkpoint LIST.
 #ifndef ROTTNEST_LAKE_TXN_LOG_H_
 #define ROTTNEST_LAKE_TXN_LOG_H_
 
@@ -21,6 +35,7 @@
 
 #include "common/json.h"
 #include "common/random.h"
+#include "common/thread_pool.h"
 #include "lake/checkpoint.h"
 #include "objectstore/object_store.h"
 #include "objectstore/retry.h"
@@ -37,6 +52,19 @@ struct ReplayStats {
   uint64_t entry_gets = 0;        ///< Log-entry GETs issued.
   bool used_checkpoint = false;   ///< Replay started from a checkpoint.
   Version checkpoint_version = -1;
+};
+
+class TxnLog;
+
+/// One log's part in a replay (see TxnLog::ReplayAll). The caller sets
+/// `log` and `version`; the replay fills the rest.
+struct ReplayTask {
+  TxnLog* log = nullptr;
+  Version version = -1;  ///< Target version; < 0 means latest.
+  Status status;         ///< OK, or why the replay failed.
+  Version replayed = -1;       ///< The version actually read, when OK.
+  std::vector<Json> actions;   ///< Actions of [0, replayed] in commit order.
+  ReplayStats stats;
 };
 
 /// Pre-resolved `meta.*` metric handles (see obs/metrics.h); all null when
@@ -84,13 +112,14 @@ class TxnLog {
 
   /// Highest committed version, or NotFound if the log is empty. Uses the
   /// last tail this instance observed as a probe hint (see the overload).
-  Result<Version> LatestVersion();
+  Result<Version> LatestVersion(ThreadPool* io = nullptr);
 
   /// Like LatestVersion, but probes forward from `hint` (a version the
-  /// caller believes committed) with HEADs instead of LISTing the whole
-  /// log prefix. A hint miss — entry absent (e.g. truncated) or the tail
-  /// more than a probe window ahead — falls back to the full LIST.
-  Result<Version> LatestVersion(Version hint);
+  /// caller believes committed): HEAD(hint) and HEAD(hint + 1) in one
+  /// concurrent wave on `io` (inline when null), then further HEADs only
+  /// when the tail moved on. A hint miss — entry absent (e.g. truncated)
+  /// or the tail more than a probe window ahead — falls back to the LIST.
+  Result<Version> LatestVersion(Version hint, ThreadPool* io = nullptr);
 
   /// Reads the actions of one version. A malformed or short body fails
   /// with Corruption naming the offending key.
@@ -101,8 +130,18 @@ class TxnLog {
   /// exists (equivalent by the ActionCompactor contract). version < 0
   /// means latest. Returns the version actually read. Reading a version
   /// below the retention floor fails with NotFound("version truncated...").
+  /// A one-task ReplayAll: two waves of requests on `io` (inline if null).
   Result<Version> Replay(Version version, std::vector<Json>* actions,
-                         ReplayStats* stats = nullptr);
+                         ReplayStats* stats = nullptr,
+                         ThreadPool* io = nullptr);
+
+  /// Replays every task's log (each as Replay would) in two shared waves:
+  /// wave 1 probes every log's tail and reads every pointer, wave 2 reads
+  /// every checkpoint and suffix entry, all concurrently on `io` (inline
+  /// when null). A task's failure is its own `status`; the others still
+  /// complete.
+  static void ReplayAll(const std::vector<ReplayTask*>& tasks,
+                        ThreadPool* io);
 
   /// Writes a checkpoint of the log's compacted state at the current
   /// latest version and advances the `_last_checkpoint` pointer. Returns
@@ -143,10 +182,29 @@ class TxnLog {
   const std::string& prefix() const { return prefix_; }
 
  private:
+  struct Request;    // One store call of a wave (txn_log.cc).
+  struct TailProbe;  // Wave-1 tail discovery from a hint.
+  struct Resolve;    // One ReplayTask's state across the waves.
+
+  /// Issues one wave of requests on `io` (inline when null).
+  static void Issue(const std::vector<Request*>& wave, ThreadPool* io);
+
   std::string KeyFor(Version version) const;
 
   /// Like LatestVersion but returns -1 (not an error) for an empty log.
-  Result<Version> LatestVersionOrMinusOne(Version hint);
+  Result<Version> LatestVersionOrMinusOne(Version hint, ThreadPool* io);
+
+  /// The serial tail walk from `known` (a committed version): up to
+  /// `budget` HEADs forward, then the LIST.
+  Result<Version> ProbeForward(Version known, int budget);
+
+  /// The highest version a LIST of the log names (-1 for none).
+  Result<Version> ListTail();
+  Version TailOfListing(const std::vector<objectstore::ObjectMeta>& listing);
+
+  /// Parses one fetched log entry, appending its actions.
+  Status ParseEntry(Version version, const Buffer& body,
+                    std::vector<Json>* actions) const;
 
   void NoteTail(Version version);
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <mutex>
 
+#include "common/deadline.h"
+
 namespace rottnest::objectstore {
 
 namespace {
@@ -72,8 +74,21 @@ std::vector<Run> PlanRuns(const std::vector<RangeRequest>& requests,
 
 }  // namespace
 
+void IssueWave(ThreadPool* io, size_t n,
+               const std::function<void(size_t)>& issue) {
+  if (io == nullptr || n <= 1) {
+    for (size_t i = 0; i < n; ++i) issue(i);
+    return;
+  }
+  const Deadline deadline = CurrentDeadline();
+  io->ParallelFor(n, [&](size_t i) {
+    ScopedOpDeadline ambient(deadline);
+    issue(i);
+  });
+}
+
 Status ReadBatch(ObjectStore* store, const std::vector<RangeRequest>& requests,
-                 ThreadPool* pool, IoTrace* trace,
+                 ThreadPool* io, IoTrace* trace,
                  std::vector<Buffer>* results) {
   results->clear();
   results->resize(requests.size());
@@ -133,11 +148,7 @@ Status ReadBatch(ObjectStore* store, const std::vector<RangeRequest>& requests,
     }
   };
 
-  if (pool != nullptr && runs.size() > 1) {
-    pool->ParallelFor(runs.size(), do_run);
-  } else {
-    for (size_t r = 0; r < runs.size(); ++r) do_run(r);
-  }
+  IssueWave(io, runs.size(), do_run);
   return first_error;
 }
 

@@ -6,6 +6,7 @@
 #ifndef ROTTNEST_OBJECTSTORE_READ_BATCH_H_
 #define ROTTNEST_OBJECTSTORE_READ_BATCH_H_
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -22,14 +23,25 @@ struct RangeRequest {
   uint64_t length = 0;
 };
 
-/// Issues all `requests` concurrently on `pool` (or inline when pool is
-/// null), recording them as one round in `trace` (if non-null). Ranges the
-/// store serves from memory (GetCached) are taken first; of the rest,
-/// requests for the same key whose ranges touch or overlap (gap 0) are
-/// merged into one run and read with one GetRun, and duplicates are read
-/// once. The trace records one GET per cached range and per issued request
-/// (a run's span bytes). Results are
-/// positionally aligned with requests. Returns the first error encountered,
+/// Runs `issue(i)` for every i in [0, n) on the I/O executor `io` — the
+/// calling thread claims calls too — and returns once all are done; runs
+/// them inline when `io` is null. Every call runs under the caller's
+/// ambient deadline (thread-locals do not follow work onto executor
+/// threads), so retry and hedging layers below still observe it. `issue`
+/// should only make store calls: parsing, decoding and verification belong
+/// to the caller, after the wave, so an executor thread is only ever held
+/// by a request in flight.
+void IssueWave(ThreadPool* io, size_t n,
+               const std::function<void(size_t)>& issue);
+
+/// Issues all `requests` concurrently on the I/O executor `io` (or inline
+/// when null; see IssueWave), recording them as one round in `trace` (if
+/// non-null). Ranges the store serves from memory (GetCached) are taken
+/// first; of the rest, requests for the same key whose ranges touch or
+/// overlap (gap 0) are merged into one run and read with one GetRun, and
+/// duplicates are read once. The trace records one GET per cached range and
+/// per issued request (a run's span bytes). Results are positionally
+/// aligned with requests. Returns the first error encountered,
 /// with all other runs still attempted. Error contract: a failed request
 /// leaves a ZERO-LENGTH buffer at its position — and a failed run at every
 /// position it covers — never whatever partial bytes the store wrote
@@ -37,7 +49,7 @@ struct RangeRequest {
 /// (degraded reads) can distinguish "failed slot" from data without
 /// consulting per-slot statuses.
 Status ReadBatch(ObjectStore* store, const std::vector<RangeRequest>& requests,
-                 ThreadPool* pool, IoTrace* trace,
+                 ThreadPool* io, IoTrace* trace,
                  std::vector<Buffer>* results);
 
 }  // namespace rottnest::objectstore

@@ -257,12 +257,14 @@ void QueryEngine::RunWave(std::vector<std::shared_ptr<Request>>& wave) {
 
   // Pin the wave to one snapshot version: every member that asked for
   // "latest" plans against the same metadata state, resolved once with
-  // hint-accelerated HEAD probes instead of per-query LISTs. Resolution
-  // failure (cold store hiccup, empty table) leaves members unpinned —
-  // Execute resolves latest itself, exactly as before.
+  // hint-accelerated HEAD probes (one concurrent wave on the client's I/O
+  // executor) instead of per-query LISTs. Resolution failure (cold store
+  // hiccup, empty table) leaves members unpinned — Execute resolves latest
+  // itself, exactly as before.
   lake::Version pinned = -1;
   {
-    auto latest = client_->table()->log().LatestVersion();
+    auto latest =
+        client_->table()->log().LatestVersion(client_->io_executor());
     if (latest.ok()) pinned = latest.value();
   }
   for (auto& req : wave) {

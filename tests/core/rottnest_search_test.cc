@@ -342,5 +342,54 @@ TEST_F(RottnestSearchTest, SearchRecordsTraceRounds) {
   EXPECT_LE(trace.depth(), 8u);
 }
 
+// The FM builder remaps data bytes 0x00/0x01 to 0x02, so the index cannot
+// count a pattern holding 0x00-0x02 exactly: "a\x02b" matches the remapped
+// "a\x01b" rows inside the index. Such patterns go to the exact scan path,
+// which is not an index failure: nothing degrades, nothing is quarantined.
+TEST_F(RottnestSearchTest, ReservedBytePatternsAreCountedExactly) {
+  RowBatch b;
+  b.schema = MakeSchema();
+  format::FlatFixed uuids;
+  uuids.elem_size = 16;
+  ColumnVector::Strings bodies;
+  format::FlatFixed vecs;
+  vecs.elem_size = kDim * 4;
+  for (uint64_t id = 0; id < 100; ++id) {
+    uuids.Append(Slice(UuidFor(id)));
+    bodies.push_back(std::string("a\x01" "b") + std::to_string(id));
+    std::vector<float> v = VecFor(id);
+    vecs.Append(Slice(reinterpret_cast<const uint8_t*>(v.data()), kDim * 4));
+  }
+  b.columns.emplace_back(std::move(uuids));
+  b.columns.emplace_back(std::move(bodies));
+  b.columns.emplace_back(std::move(vecs));
+  ASSERT_TRUE(table_->Append(b).ok());
+  ASSERT_TRUE(client_->Index("body", IndexType::kFm).ok());
+
+  SearchOptions opts;
+  opts.auto_quarantine = true;
+  const std::string replaced("a\x02" "b");
+  const std::string original("a\x01" "b");
+  auto wrong = client_->CountSubstring("body", replaced, opts);
+  ASSERT_TRUE(wrong.ok()) << wrong.status().ToString();
+  EXPECT_EQ(wrong.value(), 0u);
+  auto right = client_->CountSubstring("body", original, opts);
+  ASSERT_TRUE(right.ok()) << right.status().ToString();
+  EXPECT_EQ(right.value(), 100u);
+
+  auto none = client_->SearchSubstring("body", replaced, 10, opts);
+  ASSERT_TRUE(none.ok()) << none.status().ToString();
+  EXPECT_TRUE(none.value().matches.empty());
+  auto some = client_->SearchSubstring("body", original, 10, opts);
+  ASSERT_TRUE(some.ok()) << some.status().ToString();
+  EXPECT_EQ(some.value().matches.size(), 10u);
+  EXPECT_EQ(some.value().indexes_degraded, 0u);
+  EXPECT_FALSE(some.value().partial);
+
+  auto entries = client_->metadata().ReadAll();
+  ASSERT_TRUE(entries.ok());
+  EXPECT_EQ(entries.value().size(), 1u);  // Never quarantined.
+}
+
 }  // namespace
 }  // namespace rottnest::core

@@ -16,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "lake/metadata_table.h"
 #include "lake/table.h"
 #include "objectstore/fault_injection.h"
@@ -98,16 +99,28 @@ struct ChaosWorld {
 };
 
 /// Byte-identity of checkpoint+suffix vs replay-from-0 at every version,
-/// via two independent cold readers of the clean inner store.
+/// via two independent cold readers of the clean inner store. The
+/// checkpointed reader resolves each version together with the index
+/// registry, as a query plan does: both logs in shared concurrent waves on
+/// an I/O executor. The replay-from-0 reader runs inline.
 void AssertEquivalentAtEveryVersion(InMemoryObjectStore* inner,
                                     const std::string& root) {
+  ThreadPool io(4);
   auto with = Table::Open(inner, root).MoveValue();
   auto without = Table::Open(inner, root).MoveValue();
   without->log().set_use_checkpoints(false);
-  Version latest = with->log().LatestVersion().MoveValue();
+  MetadataTable registry(inner, root);
+  Version latest = with->log().LatestVersion(&io).MoveValue();
   ASSERT_EQ(without->log().LatestVersion().MoveValue(), latest);
   for (Version v = 0; v <= latest; ++v) {
-    auto a = with->GetSnapshot(v);
+    ReplayTask lake_log, meta_log;
+    lake_log.log = &with->log();
+    lake_log.version = v;
+    meta_log.log = &registry.log();
+    TxnLog::ReplayAll({&lake_log, &meta_log}, &io);
+    ASSERT_TRUE(MetadataTable::EntriesFrom(meta_log).ok())
+        << meta_log.status.ToString();
+    auto a = with->SnapshotFrom(lake_log);
     auto b = without->GetSnapshot(v);
     ASSERT_TRUE(a.ok()) << "v" << v << ": " << a.status().ToString();
     ASSERT_TRUE(b.ok()) << "v" << v << ": " << b.status().ToString();
