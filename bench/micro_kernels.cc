@@ -1,6 +1,6 @@
 // google-benchmark microbenchmarks of the CPU kernels underneath Rottnest:
 // compression, suffix-array construction, page encode/decode, k-means,
-// hashing and varint coding. These bound the compute side of ic_r and
+// hashing, varint coding, keyword row verification and FM locate. These bound the compute side of ic_r and
 // cpq_r in the TCO model. Also verifies the observability layer's
 // off-by-default contract: with no ObsContext, the instrumented hot paths
 // perform ZERO heap allocations (counted via a global operator new
@@ -17,8 +17,10 @@
 #include "compress/lz.h"
 #include "core/obs_internal.h"
 #include "format/page.h"
+#include "index/fm/fm_index.h"
 #include "index/fm/suffix_array.h"
 #include "index/ivfpq/kmeans.h"
+#include "index/keyword/keyword_index.h"
 #include "objectstore/object_store.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
@@ -187,6 +189,107 @@ void BM_VarintRoundTrip(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_VarintRoundTrip);
+
+/// Zipf-distributed sentences over a syllable vocabulary (the shape of the
+/// perfbench text column): `rows` values of 14..23 words.
+std::vector<std::string> MakeZipfRows(size_t rows, uint64_t seed) {
+  Random rng(seed);
+  static const char kConsonants[] = "bcdfghjklmnprstvwz";
+  static const char kVowels[] = "aeiou";
+  std::vector<std::string> vocab(4096);
+  for (std::string& w : vocab) {
+    for (uint64_t s = 1 + rng.Uniform(3); s > 0; --s) {
+      w.push_back(kConsonants[rng.Uniform(sizeof(kConsonants) - 1)]);
+      w.push_back(kVowels[rng.Uniform(sizeof(kVowels) - 1)]);
+    }
+  }
+  std::vector<std::string> out(rows);
+  for (std::string& row : out) {
+    for (uint64_t w = 14 + rng.Uniform(10); w > 0; --w) {
+      row += vocab[rng.NextZipf(vocab.size(), 1.1)];
+      row += rng.Uniform(8) == 0 ? ". " : " ";
+    }
+  }
+  return out;
+}
+
+// The in-situ keyword predicate over one decoded page of Zipf rows, for a
+// two-term AND (Arg 0) or OR (Arg 1) query whose terms are a common and a
+// rare word. The predicate streams tokens; any heap allocation per
+// iteration is a regression and fails the benchmark.
+void BM_KeywordRowMatch(benchmark::State& state) {
+  const std::vector<std::string> rows = MakeZipfRows(1000, 11);
+  std::vector<std::string> tokens;
+  index::Tokenize(Slice(rows[0]), &tokens);
+  index::Tokenize(Slice(rows[1]), &tokens);
+  const index::KeywordRowMatcher matcher({tokens.front(), tokens.back()},
+                                         /*require_all=*/state.range(0) == 0);
+  uint64_t allocs = 0;
+  size_t matched = 0;
+  size_t bytes = 0;
+  for (const std::string& r : rows) bytes += r.size();
+  for (auto _ : state) {
+    uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
+    for (const std::string& r : rows) matched += matcher.Matches(r) ? 1 : 0;
+    allocs += g_heap_allocs.load(std::memory_order_relaxed) - before;
+    benchmark::DoNotOptimize(matched);
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * bytes));
+  if (allocs != 0) state.SkipWithError("row predicate allocated on the heap");
+}
+BENCHMARK(BM_KeywordRowMatch)->Arg(0)->Arg(1);
+
+// Substring locate against an in-memory FM index (~300 KB of text over 64
+// pages): Open (tail read + checksums) plus FmLocatePages for a needle
+// planted in 50 rows, so the timing covers the decode-on-first-read and
+// view-based block access of one cold locate.
+void BM_FmLocatePages(benchmark::State& state) {
+  std::vector<std::string> rows = MakeZipfRows(2560, 12);
+  for (size_t i = 0; i < 50; ++i) rows[(i * 51) % rows.size()] += " qxneedlez";
+  index::FmIndexBuilder builder("body", index::FmOptions{});
+  format::FileMeta meta;
+  meta.schema.columns.push_back({"body", format::PhysicalType::kByteArray, 0});
+  format::RowGroupMeta rg;
+  format::ColumnChunkMeta chunk;
+  const size_t rows_per_page = rows.size() / 64;
+  for (size_t p = 0; p < 64; ++p) {
+    builder.AddPageValues(std::vector<std::string>(
+        rows.begin() + p * rows_per_page,
+        rows.begin() + (p + 1) * rows_per_page));
+    format::PageMeta pm;
+    pm.num_values = static_cast<uint32_t>(rows_per_page);
+    pm.first_row = p * rows_per_page;
+    chunk.pages.push_back(pm);
+  }
+  rg.columns.push_back(chunk);
+  rg.num_rows = rows.size();
+  meta.row_groups.push_back(rg);
+  format::PageTable pages;
+  pages.AddFile("data/f.lake", meta, 0);
+  Buffer file;
+  if (!builder.Finish(pages, &file).ok()) std::abort();
+  SimulatedClock clock;
+  objectstore::InMemoryObjectStore store(&clock);
+  if (!store.Put("idx/fm.index", Slice(file)).ok()) std::abort();
+
+  size_t found = 0;
+  for (auto _ : state) {
+    auto reader =
+        index::ComponentFileReader::Open(&store, "idx/fm.index", nullptr);
+    std::vector<format::PageId> hits;
+    if (!reader.ok() ||
+        !index::FmLocatePages(reader.value().get(), nullptr, nullptr,
+                              Slice(std::string_view("qxneedlez")), 64, &hits)
+             .ok()) {
+      state.SkipWithError("locate failed");
+      break;
+    }
+    benchmark::DoNotOptimize(hits.data());
+    found = hits.size();
+  }
+  state.counters["pages_found"] = static_cast<double>(found);
+}
+BENCHMARK(BM_FmLocatePages);
 
 // The off-by-default acceptance gate: one pass over every instrumented
 // primitive with observability OFF — null metric handles, null tracer,

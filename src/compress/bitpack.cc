@@ -1,5 +1,7 @@
 #include "compress/bitpack.h"
 
+#include <algorithm>
+
 namespace rottnest::compress {
 
 void BitPack(const std::vector<uint64_t>& values, int bit_width, Buffer* out) {
@@ -45,6 +47,29 @@ Status BitUnpack(Slice input, int bit_width, size_t count,
     acc >>= bit_width;
     acc_bits -= bit_width;
   }
+  return Status::OK();
+}
+
+Status BitUnpackAt(Slice input, int bit_width, size_t index, uint64_t* out) {
+  if (bit_width < 0 || bit_width > 56) {
+    return Status::Corruption("bitpack: bad width");
+  }
+  if (bit_width == 0) {
+    *out = 0;
+    return Status::OK();
+  }
+  const size_t first_bit = index * static_cast<size_t>(bit_width);
+  if (input.size() * 8 < first_bit + bit_width) {
+    return Status::Corruption("bitpack: input too short");
+  }
+  // The value spans at most 8 bytes (shift <= 7, width <= 56).
+  const size_t byte = first_bit / 8;
+  const size_t span = std::min<size_t>(8, input.size() - byte);
+  uint64_t word = 0;
+  for (size_t i = 0; i < span; ++i) {
+    word |= static_cast<uint64_t>(input[byte + i]) << (8 * i);
+  }
+  *out = (word >> (first_bit % 8)) & ((1ULL << bit_width) - 1);
   return Status::OK();
 }
 

@@ -31,6 +31,10 @@ void BitPack(const std::vector<uint64_t>& values, int bit_width, Buffer* out);
 Status BitUnpack(Slice input, int bit_width, size_t count,
                  std::vector<uint64_t>* out);
 
+/// Reads the single value at `index` of a BitPack stream of `bit_width`
+/// (<= 56) bits per value, without unpacking the values before it.
+Status BitUnpackAt(Slice input, int bit_width, size_t index, uint64_t* out);
+
 /// Delta + varint encoding for sorted (non-decreasing) sequences such as
 /// posting lists of page ids.
 void DeltaEncodeSorted(const std::vector<uint64_t>& values, Buffer* out);

@@ -33,21 +33,20 @@ using lake::DataFile;
 using lake::IndexEntry;
 using lake::Snapshot;
 
-/// Extracts value `row` of a decoded column as raw bytes.
-std::string ValueAt(const ColumnVector& col, size_t row) {
+/// Views value `row` of a decoded column as raw bytes. The view is valid
+/// while `col` is alive and unmodified.
+std::string_view ValueAt(const ColumnVector& col, size_t row) {
   switch (col.type()) {
     case PhysicalType::kByteArray:
       return col.strings()[row];
     case PhysicalType::kFixedLenByteArray:
-      return col.fixed().at(row).ToString();
-    case PhysicalType::kInt64: {
-      int64_t v = col.ints()[row];
-      return std::string(reinterpret_cast<const char*>(&v), 8);
-    }
-    case PhysicalType::kDouble: {
-      double v = col.doubles()[row];
-      return std::string(reinterpret_cast<const char*>(&v), 8);
-    }
+      return col.fixed().at(row).ToStringView();
+    case PhysicalType::kInt64:
+      return std::string_view(
+          reinterpret_cast<const char*>(&col.ints()[row]), 8);
+    case PhysicalType::kDouble:
+      return std::string_view(
+          reinterpret_cast<const char*>(&col.doubles()[row]), 8);
   }
   return {};
 }
@@ -396,7 +395,7 @@ Status ScanFileRows(
     objectstore::ObjectStore* store, ThreadPool* io, const DataFile& file,
     int col_idx, RangeFilter* rf, DvCache* dvs, const Deadline& deadline,
     objectstore::IoTrace* trace, bool* scanned,
-    const std::function<Status(uint64_t, const std::string&)>& visit) {
+    const std::function<Status(uint64_t, std::string_view)>& visit) {
   *scanned = false;
   std::vector<objectstore::RangeRequest> reqs = {
       format::FileReader::FooterRequest(file.path, file.bytes)};
@@ -531,7 +530,7 @@ class MatchSet {
 /// A scan's row predicate: true when `value` matches. Scoring scans set
 /// *distance.
 using RowPredicate =
-    std::function<bool(const std::string& value, float* distance)>;
+    std::function<bool(std::string_view value, float* distance)>;
 
 /// The per-search inputs of the brute-scan fallback.
 struct FileScan {
@@ -552,10 +551,10 @@ struct FileScan {
              size_t limit = SIZE_MAX) const {
     return ScanFileRows(
         store, io, f, col_idx, rf, dvs, deadline, trace, scanned,
-        [&](uint64_t row, const std::string& v) -> Status {
+        [&](uint64_t row, std::string_view v) -> Status {
           float dist = 0;
           if (out->size() < limit && pred(v, &dist)) {
-            out->push_back({f.path, row, v, dist});
+            out->push_back({f.path, row, std::string(v), dist});
           }
           return Status::OK();
         });
@@ -822,16 +821,16 @@ Status StageFile(objectstore::ObjectStore* store, const DataFile& f,
       switch (type) {
         case IndexType::kTrie:
           for (uint32_t i = 0; i < pm.num_values; ++i) {
-            std::string v = ValueAt(chunk, value_index + i);
-            out->trie_postings.emplace_back(index::KeyFromValue(Slice(v)),
-                                            page);
+            out->trie_postings.emplace_back(
+                index::KeyFromValue(Slice(ValueAt(chunk, value_index + i))),
+                page);
           }
           break;
         case IndexType::kFm: {
           std::vector<std::string> values;
           values.reserve(pm.num_values);
           for (uint32_t i = 0; i < pm.num_values; ++i) {
-            values.push_back(ValueAt(chunk, value_index + i));
+            values.emplace_back(ValueAt(chunk, value_index + i));
           }
           Buffer prepared;
           index::FmIndexBuilder::PreparePageText(values, &prepared);
@@ -851,7 +850,7 @@ Status StageFile(objectstore::ObjectStore* store, const DataFile& f,
           std::vector<std::string> values;
           values.reserve(pm.num_values);
           for (uint32_t i = 0; i < pm.num_values; ++i) {
-            values.push_back(ValueAt(chunk, value_index + i));
+            values.emplace_back(ValueAt(chunk, value_index + i));
           }
           std::vector<std::string> tokens;
           index::KeywordIndexBuilder::PreparePageTokens(values, &tokens);
@@ -1330,12 +1329,12 @@ Result<SearchResult> Rottnest::ExecUuid(const std::string& column,
       result.pages_probed = fetches.size();
       for (size_t i = 0; i < fetches.size(); ++i) {
         for (size_t r = 0; r < probed[i].size(); ++r) {
-          std::string v = ValueAt(probed[i], r);
+          std::string_view v = ValueAt(probed[i], r);
           if (Slice(v) == value) {
             uint64_t row = fetches[i].page.first_row + r;
             ROTTNEST_ASSIGN_OR_RETURN(bool deleted,
                                       dvs.IsDeleted(fetches[i].key, row));
-            if (!deleted) found.Add({fetches[i].key, row, v, 0});
+            if (!deleted) found.Add({fetches[i].key, row, std::string(v), 0});
           }
         }
       }
@@ -1356,7 +1355,7 @@ Result<SearchResult> Rottnest::ExecUuid(const std::string& column,
     // their index regardless of k), all at once. Then the unindexed
     // fallback, one file at a time while top-k is unsatisfied.
     FileScan fs{read_store(), &pool_, &io_, plan.column_index, &rf, &dvs,
-                deadline, opts.parallelism, [&](const std::string& v, float*) {
+                deadline, opts.parallelism, [&](std::string_view v, float*) {
                   return Slice(v) == value;
                 }};
     auto scan = [&]() -> Status {
@@ -1465,12 +1464,12 @@ Result<SearchResult> Rottnest::ExecSubstring(const std::string& column,
       result.pages_probed = fetches.size();
       for (size_t i = 0; i < fetches.size(); ++i) {
         for (size_t r = 0; r < probed[i].size(); ++r) {
-          std::string v = ValueAt(probed[i], r);
-          if (v.find(pattern) == std::string::npos) continue;
+          std::string_view v = ValueAt(probed[i], r);
+          if (v.find(pattern) == std::string_view::npos) continue;
           uint64_t row = fetches[i].page.first_row + r;
           ROTTNEST_ASSIGN_OR_RETURN(bool deleted,
                                     dvs.IsDeleted(fetches[i].key, row));
-          if (!deleted) found.Add({fetches[i].key, row, v, 0});
+          if (!deleted) found.Add({fetches[i].key, row, std::string(v), 0});
         }
       }
       return rf.FilterMatches(&result.matches, trace);
@@ -1490,8 +1489,8 @@ Result<SearchResult> Rottnest::ExecSubstring(const std::string& column,
     // their index regardless of k), all at once. Then the unindexed
     // fallback, one file at a time while top-k is unsatisfied.
     FileScan fs{read_store(), &pool_, &io_, plan.column_index, &rf, &dvs,
-                deadline, opts.parallelism, [&](const std::string& v, float*) {
-                  return v.find(pattern) != std::string::npos;
+                deadline, opts.parallelism, [&](std::string_view v, float*) {
+                  return v.find(pattern) != std::string_view::npos;
                 }};
     auto scan = [&]() -> Status {
       ROTTNEST_RETURN_NOT_OK(deadline.Check("scan"));
@@ -1656,7 +1655,7 @@ Result<SearchResult> Rottnest::ExecVector(const std::string& column,
     // only index coverage degraded — all of them at once.
     FileScan fs{read_store(), &pool_, &io_, plan.column_index, &rf, &dvs,
                 deadline, opts.parallelism,
-                [&](const std::string& v, float* dist) {
+                [&](std::string_view v, float* dist) {
                   *dist = index::SquaredL2(
                       query, reinterpret_cast<const float*>(v.data()), dim);
                   return true;
@@ -1753,8 +1752,8 @@ Result<SearchResult> Rottnest::ExecRegex(const std::string& column,
     MatchSet found(&result.matches);
     FileScan fs{read_store(), &pool_, &io_, plan.column_index, &rf, &dvs,
                 deadline, opts.parallelism,
-                [&](const std::string& v, float*) {
-                  return std::regex_search(v, re);
+                [&](std::string_view v, float*) {
+                  return std::regex_search(v.begin(), v.end(), re);
                 }};
     auto scan = [&]() -> Status {
       return fs.UntilK(plan.snapshot.files, k, opts.trace, &found,
@@ -1814,25 +1813,11 @@ Result<SearchResult> Rottnest::ExecKeyword(const std::string& column,
   RangeFilter rf(read_store(), plan.snapshot, table_->schema(), opts.range);
   ROTTNEST_RETURN_NOT_OK(rf.Validate());
 
-  // The in-situ verification predicate: a row matches when its token set
-  // contains every (AND) / any (OR) query term. Page hits are a superset
+  // The in-situ verification predicate: a row matches when its tokens
+  // contain every (AND) / any (OR) query term. Page hits are a superset
   // signal — a page holds many rows — so verification is what makes the
   // matches exact.
-  auto row_matches = [&](const std::string& v) {
-    std::vector<std::string> toks;
-    index::Tokenize(Slice(v), &toks);
-    std::sort(toks.begin(), toks.end());
-    if (require_all) {
-      for (const std::string& t : norm) {
-        if (!std::binary_search(toks.begin(), toks.end(), t)) return false;
-      }
-      return true;
-    }
-    for (const std::string& t : norm) {
-      if (std::binary_search(toks.begin(), toks.end(), t)) return true;
-    }
-    return false;
-  };
+  const index::KeywordRowMatcher row_matcher(norm, require_all);
 
   SearchResult result;
   RecordUncovered(opts, plan.unindexed.size(), &result);
@@ -1897,12 +1882,12 @@ Result<SearchResult> Rottnest::ExecKeyword(const std::string& column,
       result.pages_probed = fetches.size();
       for (size_t i = 0; i < fetches.size(); ++i) {
         for (size_t r = 0; r < probed[i].size(); ++r) {
-          std::string v = ValueAt(probed[i], r);
-          if (!row_matches(v)) continue;
+          std::string_view v = ValueAt(probed[i], r);
+          if (!row_matcher.Matches(v)) continue;
           uint64_t row = fetches[i].page.first_row + r;
           ROTTNEST_ASSIGN_OR_RETURN(bool deleted,
                                     dvs.IsDeleted(fetches[i].key, row));
-          if (!deleted) found.Add({fetches[i].key, row, v, 0});
+          if (!deleted) found.Add({fetches[i].key, row, std::string(v), 0});
         }
       }
       return rf.FilterMatches(&result.matches, trace);
@@ -1922,8 +1907,8 @@ Result<SearchResult> Rottnest::ExecKeyword(const std::string& column,
     // their index regardless of k), all at once. Then the unindexed
     // fallback, one file at a time while top-k is unsatisfied.
     FileScan fs{read_store(), &pool_, &io_, plan.column_index, &rf, &dvs,
-                deadline, opts.parallelism, [&](const std::string& v, float*) {
-                  return row_matches(v);
+                deadline, opts.parallelism, [&](std::string_view v, float*) {
+                  return row_matcher.Matches(v);
                 }};
     auto scan = [&]() -> Status {
       ROTTNEST_RETURN_NOT_OK(deadline.Check("scan"));
@@ -2053,8 +2038,8 @@ Result<uint64_t> Rottnest::ExecCount(const std::string& column,
         return ScanFileRows(
             read_store(), &io_, *files[i], plan.column_index, &all_rows,
             &dvs, Deadline(), t, &scanned,
-            [&](uint64_t, const std::string& v) -> Status {
-              for (size_t pos = v.find(pattern); pos != std::string::npos;
+            [&](uint64_t, std::string_view v) -> Status {
+              for (size_t pos = v.find(pattern); pos != std::string_view::npos;
                    pos = v.find(pattern, pos + 1)) {
                 ++file_counts[i];
               }
@@ -2311,7 +2296,7 @@ Result<CompactReport> Rottnest::Compact(const std::string& column,
     }
     readers[i] = std::move(r).value();
     if (prefetch[i]) {
-      std::vector<Buffer> ignored;
+      std::vector<Slice> ignored;
       open_statuses[i] = readers[i]->ReadComponents(
           readers[i]->ComponentNames(), nullptr, &child_traces[i], &ignored);
     }

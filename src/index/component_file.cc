@@ -182,7 +182,9 @@ Result<std::unique_ptr<ComponentFileReader>> ComponentFileReader::Open(
   ROTTNEST_RETURN_NOT_OK(dec.GetLengthPrefixedString(&reader->column_));
   uint64_t num_entries;
   ROTTNEST_RETURN_NOT_OK(dec.GetVarint64(&num_entries));
-  uint64_t tail_start = meta.size - tail_len;
+  // Component payloads end where the directory starts.
+  const uint64_t payload_end = meta.size - 16 - dir_len;
+  reader->tail_start_ = meta.size - tail_len;
   for (uint64_t i = 0; i < num_entries; ++i) {
     Entry e;
     ROTTNEST_RETURN_NOT_OK(dec.GetLengthPrefixedString(&e.name));
@@ -193,25 +195,27 @@ Result<std::unique_ptr<ComponentFileReader>> ComponentFileReader::Open(
     ROTTNEST_RETURN_NOT_OK(dec.GetBytes(1, &codec));
     e.codec = codec[0];
     ROTTNEST_RETURN_NOT_OK(dec.GetFixed64(&e.checksum));
+    if (e.offset > payload_end ||
+        e.compressed_size > payload_end - e.offset) {
+      return Status::Corruption("component extends past payloads: " + e.name +
+                                " in " + reader->key_);
+    }
 
-    // Pre-decompress components fully contained in the tail we already have.
-    if (e.offset >= tail_start) {
-      Slice payload(tail.data() + (e.offset - tail_start), e.compressed_size);
+    // Verify components fully contained in the tail we already have; they
+    // are decoded from it on first read.
+    if (reader->InTail(e)) {
+      Slice payload(tail.data() + (e.offset - reader->tail_start_),
+                    e.compressed_size);
       if (Hash64(payload) != e.checksum) {
         return Status::Corruption("component checksum mismatch: " + e.name +
                                   " in " + reader->key_);
       }
-      Buffer raw;
-      ROTTNEST_RETURN_NOT_OK(compress::Decompress(
-          static_cast<compress::Codec>(e.codec), payload, e.uncompressed_size,
-          &raw));
-      reader->cache_.emplace(e.name, std::move(raw));
-      reader->verified_open_.insert(e.name);
     }
     std::string name = e.name;
     reader->directory_.emplace(std::move(name), std::move(e));
   }
   if (!dec.exhausted()) return Status::Corruption("trailing directory bytes");
+  reader->tail_ = std::move(tail);
   return reader;
 }
 
@@ -224,45 +228,57 @@ std::vector<std::string> ComponentFileReader::ComponentNames() const {
 
 Status ComponentFileReader::ReadComponents(
     const std::vector<std::string>& names, ThreadPool* pool,
-    objectstore::IoTrace* trace, std::vector<Buffer>* out) {
-  out->clear();
-  out->resize(names.size());
-
-  // Collect the cache misses into one batch.
+    objectstore::IoTrace* trace, std::vector<Slice>* out) {
+  // Sort the names not yet decoded into tail-resident and to-fetch.
+  std::vector<const Entry*> from_tail;
+  std::vector<const Entry*> fetched;
   std::vector<objectstore::RangeRequest> requests;
-  std::vector<size_t> miss_positions;
-  for (size_t i = 0; i < names.size(); ++i) {
-    auto dir_it = directory_.find(names[i]);
+  for (const std::string& name : names) {
+    auto dir_it = directory_.find(name);
     if (dir_it == directory_.end()) {
-      return Status::NotFound("no such component: " + names[i]);
+      return Status::NotFound("no such component: " + name);
     }
-    auto cache_it = cache_.find(names[i]);
-    if (cache_it != cache_.end()) {
-      (*out)[i] = cache_it->second;
-      continue;
+    if (decoded_.count(name) != 0) continue;
+    const Entry& e = dir_it->second;
+    if (InTail(e)) {
+      from_tail.push_back(&e);
+    } else {
+      requests.push_back({key_, e.offset, e.compressed_size});
+      fetched.push_back(&e);
     }
-    requests.push_back(
-        {key_, dir_it->second.offset, dir_it->second.compressed_size});
-    miss_positions.push_back(i);
   }
-  if (requests.empty()) return Status::OK();
 
   std::vector<Buffer> raw;
-  ROTTNEST_RETURN_NOT_OK(
-      objectstore::ReadBatch(store_, requests, pool, trace, &raw));
-  for (size_t m = 0; m < miss_positions.size(); ++m) {
-    size_t i = miss_positions[m];
-    const Entry& e = directory_.at(names[i]);
-    if (Hash64(Slice(raw[m])) != e.checksum) {
-      return Status::Corruption("component checksum mismatch: " + names[i] +
-                                " in " + key_);
-    }
-    Buffer decompressed;
+  if (!requests.empty()) {
+    ROTTNEST_RETURN_NOT_OK(
+        objectstore::ReadBatch(store_, requests, pool, trace, &raw));
+  }
+  auto decode = [&](const Entry& e, Slice payload) -> Status {
+    if (decoded_.count(e.name) != 0) return Status::OK();  // Named twice.
+    Buffer plain;
     ROTTNEST_RETURN_NOT_OK(compress::Decompress(
-        static_cast<compress::Codec>(e.codec), Slice(raw[m]),
-        e.uncompressed_size, &decompressed));
-    cache_[names[i]] = decompressed;
-    (*out)[i] = std::move(decompressed);
+        static_cast<compress::Codec>(e.codec), payload, e.uncompressed_size,
+        &plain));
+    decoded_.emplace(e.name, std::move(plain));
+    return Status::OK();
+  };
+  for (const Entry* e : from_tail) {
+    ROTTNEST_RETURN_NOT_OK(decode(
+        *e, Slice(tail_.data() + (e->offset - tail_start_),
+                  e->compressed_size)));
+  }
+  for (size_t m = 0; m < fetched.size(); ++m) {
+    if (Hash64(Slice(raw[m])) != fetched[m]->checksum) {
+      return Status::Corruption("component checksum mismatch: " +
+                                fetched[m]->name + " in " + key_);
+    }
+    ROTTNEST_RETURN_NOT_OK(decode(*fetched[m], Slice(raw[m])));
+  }
+
+  out->clear();
+  out->reserve(names.size());
+  for (const std::string& name : names) {
+    out->push_back(Slice(decoded_.find(name)->second));
   }
   return Status::OK();
 }
@@ -270,11 +286,22 @@ Status ComponentFileReader::ReadComponents(
 Status ComponentFileReader::ReadComponent(const std::string& name,
                                           ThreadPool* pool,
                                           objectstore::IoTrace* trace,
-                                          Buffer* out) {
-  std::vector<Buffer> results;
+                                          Slice* out) {
+  auto it = decoded_.find(name);  // Hot in FM walks: skip the batch setup.
+  if (it != decoded_.end()) {
+    *out = Slice(it->second);
+    return Status::OK();
+  }
+  std::vector<Slice> results;
   ROTTNEST_RETURN_NOT_OK(ReadComponents({name}, pool, trace, &results));
-  *out = std::move(results[0]);
+  *out = results[0];
   return Status::OK();
+}
+
+size_t ComponentFileReader::decoded_bytes() const {
+  size_t total = 0;
+  for (const auto& [name, plain] : decoded_) total += plain.size();
+  return total;
 }
 
 std::vector<ComponentInfo> ComponentFileReader::Components() const {
@@ -284,7 +311,7 @@ std::vector<ComponentInfo> ComponentFileReader::Components() const {
     ComponentInfo info;
     info.name = name;
     info.compressed_size = e.compressed_size;
-    info.verified_at_open = verified_open_.count(name) != 0;
+    info.verified_at_open = InTail(e);
     infos.push_back(std::move(info));
   }
   return infos;

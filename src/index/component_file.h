@@ -15,9 +15,12 @@
 //   [fixed64 directory checksum][fixed32 directory length]["RNI1"]
 //
 // Integrity: the directory carries a Hash64 checksum of itself (verified at
-// open) and of every compressed component payload (verified on read), so a
-// truncated or bit-flipped index body surfaces as Corruption instead of
-// being silently accepted — magic bytes alone only catch missing tails.
+// open) and of every compressed component payload, so a truncated or
+// bit-flipped index body surfaces as Corruption instead of being silently
+// accepted — magic bytes alone only catch missing tails. Payloads inside
+// the open's tail read are checksummed at open; fetched ones on fetch.
+// Either way a component is decompressed only when a read first asks for
+// it, and readers get views into the decoded copy rather than copies.
 //
 // Components written *last* land in the speculative tail read and cost no
 // extra round — writers should emit leaves first and roots last.
@@ -27,7 +30,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -119,11 +121,18 @@ class ComponentFileWriter {
 
 /// Reads an index file from object storage with tail-read + batched
 /// component fetches. Thread-compatible (one instance per query).
+///
+/// Contract: Open verifies the directory checksum and the checksum of
+/// every component payload inside the tail read, and keeps those verified
+/// compressed bytes; no component is decompressed at open. ReadComponents
+/// is the one decode path: it decompresses a component the first time a
+/// read asks for it — from the kept tail bytes, or after one batched fetch
+/// (checksummed on arrival) — and hands out views into the decoded cache.
 class ComponentFileReader {
  public:
   /// Opens `key`: one HEAD + one tail range read (`tail_bytes`). Components
-  /// wholly contained in the tail are available immediately with no further
-  /// IO.
+  /// wholly contained in the tail are checksummed here and later read with
+  /// no further IO.
   static Result<std::unique_ptr<ComponentFileReader>> Open(
       objectstore::ObjectStore* store, std::string key,
       objectstore::IoTrace* trace, size_t tail_bytes = 256 << 10);
@@ -139,16 +148,19 @@ class ComponentFileReader {
   /// Names of all components.
   std::vector<std::string> ComponentNames() const;
 
-  /// Fetches (if necessary) and returns the decompressed payloads of
-  /// `names`, in one parallel round for all non-cached components.
-  /// Results align with `names`. Cached components cost no IO.
+  /// Returns views of the decompressed payloads of `names`, aligned with
+  /// `names`. Components not yet decoded are decoded now: tail-resident
+  /// ones from the bytes Open kept (no IO), the rest after one parallel
+  /// fetch round. A view stays valid until its component is Evict()ed or
+  /// the reader is destroyed — later reads never move decoded bytes. A
+  /// caller that needs the bytes beyond that copies them.
   Status ReadComponents(const std::vector<std::string>& names,
                         ThreadPool* pool, objectstore::IoTrace* trace,
-                        std::vector<Buffer>* out);
+                        std::vector<Slice>* out);
 
   /// Single-component convenience.
   Status ReadComponent(const std::string& name, ThreadPool* pool,
-                       objectstore::IoTrace* trace, Buffer* out);
+                       objectstore::IoTrace* trace, Slice* out);
 
   /// Audit metadata for every component, in name order.
   std::vector<ComponentInfo> Components() const;
@@ -165,9 +177,13 @@ class ComponentFileReader {
                           std::vector<ComponentDamage>* damage,
                           uint64_t* bytes_fetched);
 
-  /// Drops one component from the decompressed cache. Streaming merges
-  /// bound their working set by evicting leaves after consuming them.
-  void Evict(const std::string& name) { cache_.erase(name); }
+  /// Drops one component from the decompressed cache, invalidating its
+  /// views. Streaming merges bound their working set by evicting leaves
+  /// after consuming them.
+  void Evict(const std::string& name) { decoded_.erase(name); }
+
+  /// Bytes of decompressed payload currently held.
+  size_t decoded_bytes() const;
 
  private:
   ComponentFileReader(objectstore::ObjectStore* store, std::string key)
@@ -175,13 +191,18 @@ class ComponentFileReader {
 
   using Entry = ComponentFileWriter::Entry;
 
+  /// True when the component's payload lies in tail_ (checksummed at open).
+  bool InTail(const Entry& e) const { return e.offset >= tail_start_; }
+
   objectstore::ObjectStore* store_;
   std::string key_;
   IndexType type_ = IndexType::kTrie;
   std::string column_;
   std::map<std::string, Entry> directory_;
-  std::map<std::string, Buffer> cache_;
-  std::set<std::string> verified_open_;  ///< Checksum-verified in Open's tail.
+  Buffer tail_;              ///< Open's tail read: verified, still compressed.
+  uint64_t tail_start_ = 0;  ///< File offset of tail_[0].
+  /// Decoded payloads. Map nodes never move, so views survive inserts.
+  std::map<std::string, Buffer> decoded_;
 };
 
 }  // namespace rottnest::index

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
 #include <set>
 
 #include "compress/bitpack.h"
@@ -21,6 +22,34 @@ constexpr const char* kPageTableComponent = "pagetable";
 constexpr size_t kSsaSlotsPerBlock = 8192;
 
 std::string BwtName(uint64_t b) { return "bwt." + std::to_string(b); }
+
+/// Occurrences of `c` in data[0, n) — the within-block half of Occ, which
+/// LF walks call once per step. SWAR over 8-byte words: a byte of
+/// word ^ (c * 0x01..) is zero exactly where the data holds `c`, and the
+/// zero-byte test leaves a 1 in that byte's low bit. Byte lanes accumulate
+/// for at most 255 words, then are summed through 16-bit lanes.
+uint64_t CountByte(const uint8_t* data, size_t n, uint8_t c) {
+  constexpr uint64_t kLow7 = 0x7F7F7F7F7F7F7F7FULL;
+  constexpr uint64_t kOnes = 0x0101010101010101ULL;
+  const uint64_t pattern = kOnes * c;
+  uint64_t total = 0;
+  size_t i = 0;
+  while (n - i >= 8) {
+    const size_t stop = i + 8 * std::min<size_t>((n - i) / 8, 255);
+    uint64_t lanes = 0;
+    for (; i < stop; i += 8) {
+      uint64_t x;
+      std::memcpy(&x, data + i, 8);
+      x ^= pattern;
+      lanes += ~(((x & kLow7) + kLow7) | x | kLow7) >> 7;
+    }
+    const uint64_t pairs = (lanes & 0x00FF00FF00FF00FFULL) +
+                           ((lanes >> 8) & 0x00FF00FF00FF00FFULL);
+    total += (pairs * 0x0001000100010001ULL) >> 48;
+  }
+  for (; i < n; ++i) total += data[i] == c ? 1 : 0;
+  return total;
+}
 std::string MarkName(uint64_t b) { return "mark." + std::to_string(b); }
 std::string SsaName(uint64_t b) { return "ssa." + std::to_string(b); }
 
@@ -215,17 +244,17 @@ class FmView {
     out->reader_ = reader;
     out->pool_ = pool;
     out->trace_ = trace;
-    Buffer meta_buf;
+    Slice meta_buf;
     ROTTNEST_RETURN_NOT_OK(
         reader->ReadComponent(kMetaComponent, pool, trace, &meta_buf));
-    return DeserializeMeta(Slice(meta_buf), &out->meta_);
+    return DeserializeMeta(meta_buf, &out->meta_);
   }
 
   const FmMeta& meta() const { return meta_; }
 
   /// Prefetches the named components in one round.
   Status Prefetch(const std::vector<std::string>& names) {
-    std::vector<Buffer> ignored;
+    std::vector<Slice> ignored;
     return reader_->ReadComponents(names, pool_, trace_, &ignored);
   }
 
@@ -236,24 +265,18 @@ class FmView {
       return Status::OK();
     }
     uint64_t b = i / meta_.block_size;
-    Buffer block;
-    ROTTNEST_RETURN_NOT_OK(
-        reader_->ReadComponent(BwtName(b), pool_, trace_, &block));
-    uint64_t count = DecodeFixed64(block.data() + 8 * c);
+    Slice block;
+    ROTTNEST_RETURN_NOT_OK(BwtBlock(b, &block));
     uint64_t within = i - b * meta_.block_size;
     const uint8_t* data = block.data() + 256 * 8;
-    for (uint64_t k = 0; k < within; ++k) {
-      if (data[k] == c) ++count;
-    }
-    *out = count;
+    *out = DecodeFixed64(block.data() + 8 * c) + CountByte(data, within, c);
     return Status::OK();
   }
 
   Status BwtAt(uint64_t i, uint8_t* out) {
     uint64_t b = i / meta_.block_size;
-    Buffer block;
-    ROTTNEST_RETURN_NOT_OK(
-        reader_->ReadComponent(BwtName(b), pool_, trace_, &block));
+    Slice block;
+    ROTTNEST_RETURN_NOT_OK(BwtBlock(b, &block));
     *out = block[256 * 8 + (i - b * meta_.block_size)];
     return Status::OK();
   }
@@ -272,11 +295,14 @@ class FmView {
   /// strictly before j).
   Status Marked(uint64_t j, bool* marked, uint64_t* slot) {
     uint64_t b = j / meta_.block_size;
-    Buffer block;
+    Slice block;
     ROTTNEST_RETURN_NOT_OK(
         reader_->ReadComponent(MarkName(b), pool_, trace_, &block));
-    uint64_t rank = DecodeFixed64(block.data());
     uint64_t within = j - b * meta_.block_size;
+    if (block.size() < 8 + 8 * (within / 64 + 1)) {
+      return Status::Corruption("fm mark block too short");
+    }
+    uint64_t rank = DecodeFixed64(block.data());
     const uint8_t* words = block.data() + 8;
     uint64_t full_words = within / 64;
     for (uint64_t w = 0; w < full_words; ++w) {
@@ -293,23 +319,19 @@ class FmView {
   /// Sampled text position stored in `slot`.
   Status Sample(uint64_t slot, uint64_t* pos) {
     uint64_t b = slot / kSsaSlotsPerBlock;
-    Buffer block;
+    Slice block;
     ROTTNEST_RETURN_NOT_OK(
         reader_->ReadComponent(SsaName(b), pool_, trace_, &block));
-    std::vector<uint64_t> unpacked;
-    uint64_t within = slot - b * kSsaSlotsPerBlock;
-    ROTTNEST_RETURN_NOT_OK(compress::BitUnpack(Slice(block), meta_.pos_bits,
-                                               within + 1, &unpacked));
-    *pos = unpacked[within];
-    return Status::OK();
+    return compress::BitUnpackAt(block, meta_.pos_bits,
+                                 slot - b * kSsaSlotsPerBlock, pos);
   }
 
   /// Loads the page-boundary offsets.
   Status LoadBounds(std::vector<uint64_t>* out) {
-    Buffer buf;
+    Slice buf;
     ROTTNEST_RETURN_NOT_OK(
         reader_->ReadComponent(kBoundsComponent, pool_, trace_, &buf));
-    Decoder dec{Slice(buf)};
+    Decoder dec{buf};
     ROTTNEST_RETURN_NOT_OK(compress::DeltaDecodeSorted(&dec, out));
     if (!dec.exhausted()) return Status::Corruption("trailing bounds bytes");
     return Status::OK();
@@ -326,6 +348,19 @@ class FmView {
   }
 
  private:
+  /// View of BWT block `b`, checked to hold the occ checkpoint plus every
+  /// symbol the block covers.
+  Status BwtBlock(uint64_t b, Slice* out) {
+    ROTTNEST_RETURN_NOT_OK(
+        reader_->ReadComponent(BwtName(b), pool_, trace_, out));
+    uint64_t symbols =
+        std::min<uint64_t>(meta_.block_size, meta_.n - b * meta_.block_size);
+    if (out->size() != 256 * 8 + symbols) {
+      return Status::Corruption("fm bwt block size mismatch");
+    }
+    return Status::OK();
+  }
+
   ComponentFileReader* reader_ = nullptr;
   ThreadPool* pool_ = nullptr;
   objectstore::IoTrace* trace_ = nullptr;
@@ -378,21 +413,23 @@ Status LoadContent(ComponentFileReader* reader, ThreadPool* pool,
   std::vector<std::string> names;
   for (uint64_t b = 0; b < num_blocks; ++b) names.push_back(BwtName(b));
   for (uint64_t b = 0; b < num_blocks; ++b) names.push_back(MarkName(b));
-  std::vector<Buffer> blocks;
+  std::vector<Slice> blocks;
   ROTTNEST_RETURN_NOT_OK(reader->ReadComponents(names, pool, trace, &blocks));
 
   out->bwt.clear();
   out->bwt.reserve(n);
   for (uint64_t b = 0; b < num_blocks; ++b) {
-    const Buffer& block = blocks[b];
-    out->bwt.insert(out->bwt.end(), block.begin() + 256 * 8, block.end());
+    const Slice& block = blocks[b];
+    if (block.size() < 256 * 8) return Status::Corruption("short bwt block");
+    out->bwt.insert(out->bwt.end(), block.data() + 256 * 8,
+                    block.data() + block.size());
   }
   if (out->bwt.size() != n) return Status::Corruption("bwt size mismatch");
 
   out->marked.assign(n, false);
   uint64_t num_marked = 0;
   for (uint64_t b = 0; b < num_blocks; ++b) {
-    const Buffer& block = blocks[num_blocks + b];
+    const Slice& block = blocks[num_blocks + b];
     uint64_t end = std::min<uint64_t>(n, (b + 1) * bs);
     for (uint64_t i = b * bs; i < end; ++i) {
       uint64_t within = i - b * bs;
@@ -410,7 +447,7 @@ Status LoadContent(ComponentFileReader* reader, ThreadPool* pool,
                                 kSsaSlotsPerBlock;
   std::vector<std::string> ssa_names;
   for (uint64_t b = 0; b < num_ssa_blocks; ++b) ssa_names.push_back(SsaName(b));
-  std::vector<Buffer> ssa_blocks;
+  std::vector<Slice> ssa_blocks;
   ROTTNEST_RETURN_NOT_OK(
       reader->ReadComponents(ssa_names, pool, trace, &ssa_blocks));
   out->samples.clear();
@@ -420,7 +457,7 @@ Status LoadContent(ComponentFileReader* reader, ThreadPool* pool,
     uint64_t count =
         std::min<uint64_t>(num_marked - begin, kSsaSlotsPerBlock);
     std::vector<uint64_t> unpacked;
-    ROTTNEST_RETURN_NOT_OK(compress::BitUnpack(Slice(ssa_blocks[b]),
+    ROTTNEST_RETURN_NOT_OK(compress::BitUnpack(ssa_blocks[b],
                                                meta->pos_bits, count,
                                                &unpacked));
     out->samples.insert(out->samples.end(), unpacked.begin(), unpacked.end());
@@ -429,10 +466,10 @@ Status LoadContent(ComponentFileReader* reader, ThreadPool* pool,
   out->string_starts = meta->string_starts;
   ROTTNEST_RETURN_NOT_OK(view.LoadBounds(&out->page_offsets));
 
-  Buffer table_buf;
+  Slice table_buf;
   ROTTNEST_RETURN_NOT_OK(
       reader->ReadComponent(kPageTableComponent, pool, trace, &table_buf));
-  Decoder dec{Slice(table_buf)};
+  Decoder dec{table_buf};
   ROTTNEST_RETURN_NOT_OK(format::PageTable::Deserialize(&dec, &out->pages));
   return Status::OK();
 }

@@ -203,16 +203,16 @@ Status OpenQuantizers(ComponentFileReader* reader, ThreadPool* pool,
   if (reader->type() != IndexType::kIvfPq) {
     return Status::InvalidArgument("not an ivfpq index");
   }
-  std::vector<Buffer> parts;
+  std::vector<Slice> parts;
   ROTTNEST_RETURN_NOT_OK(reader->ReadComponents(
       {kMetaComponent, kCentroidsComponent, kCodebooksComponent}, pool, trace,
       &parts));
-  ROTTNEST_RETURN_NOT_OK(DeserializeMeta(Slice(parts[0]), meta));
+  ROTTNEST_RETURN_NOT_OK(DeserializeMeta(parts[0], meta));
   ROTTNEST_RETURN_NOT_OK(GetFloats(
-      Slice(parts[1]), static_cast<size_t>(meta->nlist) * meta->dim,
+      parts[1], static_cast<size_t>(meta->nlist) * meta->dim,
       centroids));
   ROTTNEST_RETURN_NOT_OK(GetFloats(
-      Slice(parts[2]),
+      parts[2],
       static_cast<size_t>(meta->m) * 256 * meta->sub_dim(), codebooks));
   return Status::OK();
 }
@@ -329,15 +329,15 @@ Status IvfPqSearch(ComponentFileReader* reader, ThreadPool* pool,
   std::vector<std::string> names;
   names.reserve(probes.size());
   for (uint32_t l : probes) names.push_back(ListName(l));
-  std::vector<Buffer> lists;
+  std::vector<Slice> lists;
   // One parallel round for all probed lists.
   ROTTNEST_RETURN_NOT_OK(reader->ReadComponents(names, pool, trace, &lists));
 
   std::vector<float> table = BuildAdcTable(codebooks, meta, query);
   std::vector<VectorCandidate> candidates;
-  for (const Buffer& payload : lists) {
+  for (const Slice& payload : lists) {
     std::vector<ListEntry> entries;
-    ROTTNEST_RETURN_NOT_OK(DeserializeList(Slice(payload), meta.m, &entries));
+    ROTTNEST_RETURN_NOT_OK(DeserializeList(payload, meta.m, &entries));
     for (const ListEntry& e : entries) {
       VectorCandidate c;
       c.page = e.page;
@@ -381,12 +381,12 @@ Status IvfPqMerge(const std::vector<ComponentFileReader*>& inputs,
     if (in_meta.dim != meta.dim) {
       return Status::InvalidArgument("merge inputs disagree on dim");
     }
-    Buffer table_buf;
+    Slice table_buf;
     ROTTNEST_RETURN_NOT_OK(input->ReadComponent(kPageTableComponent, pool,
                                                 trace, &table_buf));
     format::PageTable table;
     {
-      Decoder dec{Slice(table_buf)};
+      Decoder dec{table_buf};
       ROTTNEST_RETURN_NOT_OK(format::PageTable::Deserialize(&dec, &table));
     }
     format::PageId page_offset = merged_pages.Absorb(table);
@@ -394,7 +394,7 @@ Status IvfPqMerge(const std::vector<ComponentFileReader*>& inputs,
     // Read all lists of this input in one round.
     std::vector<std::string> names;
     for (uint32_t l = 0; l < in_meta.nlist; ++l) names.push_back(ListName(l));
-    std::vector<Buffer> in_lists;
+    std::vector<Slice> in_lists;
     ROTTNEST_RETURN_NOT_OK(
         input->ReadComponents(names, pool, trace, &in_lists));
 
@@ -403,7 +403,7 @@ Status IvfPqMerge(const std::vector<ComponentFileReader*>& inputs,
     for (uint32_t l = 0; l < in_meta.nlist; ++l) {
       std::vector<ListEntry> entries;
       ROTTNEST_RETURN_NOT_OK(
-          DeserializeList(Slice(in_lists[l]), in_meta.m, &entries));
+          DeserializeList(in_lists[l], in_meta.m, &entries));
       for (ListEntry& e : entries) {
         e.page += page_offset;
         ++total_vectors;

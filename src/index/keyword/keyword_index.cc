@@ -35,6 +35,52 @@ Status DeserializeEntry(Decoder* dec, KeywordEntry* out) {
   return DecodePostings(dec, &out->pages);
 }
 
+/// Steps over one EncodePostings list without decoding it.
+Status SkipPostings(Decoder* dec) {
+  uint64_t n = 0;
+  ROTTNEST_RETURN_NOT_OK(dec->GetVarint64(&n));
+  if (n == 0) return Status::OK();
+  Slice width_byte;
+  ROTTNEST_RETURN_NOT_OK(dec->GetBytes(1, &width_byte));
+  const uint64_t width = width_byte[0];
+  if (width < 1 || width > 56) return Status::Corruption("bad posting width");
+  if (n > dec->remaining() * 8) return Status::Corruption("posting overrun");
+  Slice packed;
+  return dec->GetBytes((n * width + 7) / 8, &packed);
+}
+
+/// Decodes, from one posting component, the lists of the terms
+/// terms[w] for w in `wanted` into (*pages)[w]; every other entry is
+/// skipped undecoded, and the scan stops once all are found. A term absent
+/// from the component leaves its list empty.
+Status FindPostings(Slice payload, const std::vector<std::string>& terms,
+                    std::vector<size_t> wanted,
+                    std::vector<std::vector<format::PageId>>* pages) {
+  Decoder dec(payload);
+  uint64_t n = 0;
+  ROTTNEST_RETURN_NOT_OK(dec.GetVarint64(&n));
+  for (uint64_t e = 0; e < n && !wanted.empty(); ++e) {
+    Slice term;
+    ROTTNEST_RETURN_NOT_OK(dec.GetLengthPrefixed(&term));
+    int first = -1;  // A term may be asked for more than once.
+    for (size_t k = 0; k < wanted.size();) {
+      if (Slice(terms[wanted[k]]) != term) {
+        ++k;
+        continue;
+      }
+      if (first < 0) {
+        first = static_cast<int>(wanted[k]);
+        ROTTNEST_RETURN_NOT_OK(DecodePostings(&dec, &(*pages)[first]));
+      } else {
+        (*pages)[wanted[k]] = (*pages)[first];
+      }
+      wanted.erase(wanted.begin() + k);
+    }
+    if (first < 0) ROTTNEST_RETURN_NOT_OK(SkipPostings(&dec));
+  }
+  return Status::OK();
+}
+
 /// The routing dictionary: the first term of every posting component.
 struct Dict {
   std::vector<std::string> first_terms;
@@ -167,12 +213,12 @@ class KeywordPostingStream {
         entries_.clear();
         return Status::OK();
       }
-      Buffer buf;
+      Slice buf;
       ROTTNEST_RETURN_NOT_OK(
           input_->ReadComponent(names_[next_], pool_, trace_, &buf));
       ++next_;
       entries_.clear();
-      ROTTNEST_RETURN_NOT_OK(ParseKeywordPostings(Slice(buf), &entries_));
+      ROTTNEST_RETURN_NOT_OK(ParseKeywordPostings(buf, &entries_));
       pos_ = 0;
       if (entries_.empty()) continue;  // Defensive: skip empty components.
       for (KeywordEntry& e : entries_) {
@@ -261,29 +307,76 @@ class KeywordPostingEmitter {
 }  // namespace
 
 void Tokenize(Slice text, std::vector<std::string>* out) {
-  std::string token;
-  for (size_t i = 0; i < text.size(); ++i) {
-    char c = static_cast<char>(text[i]);
-    if (c >= 'a' && c <= 'z') {
-      token.push_back(c);
-    } else if (c >= 'A' && c <= 'Z') {
-      token.push_back(static_cast<char>(c - 'A' + 'a'));
-    } else if (c >= '0' && c <= '9') {
-      token.push_back(c);
-    } else if (!token.empty()) {
-      out->push_back(std::move(token));
-      token.clear();
-    }
-  }
-  if (!token.empty()) out->push_back(std::move(token));
+  ForEachToken(text, [out](std::string_view token) {
+    out->emplace_back(token);
+    return true;
+  });
 }
 
 bool NormalizeTerm(Slice term, std::string* out) {
-  std::vector<std::string> tokens;
-  Tokenize(term, &tokens);
-  if (tokens.size() != 1) return false;
-  *out = std::move(tokens[0]);
-  return true;
+  size_t count = 0;
+  ForEachToken(term, [&](std::string_view token) {
+    if (++count == 1) out->assign(token);
+    return count < 2;
+  });
+  return count == 1;
+}
+
+KeywordRowMatcher::KeywordRowMatcher(std::vector<std::string> terms,
+                                     bool require_all)
+    : terms_(std::move(terms)), require_all_(require_all) {
+  std::sort(terms_.begin(), terms_.end());
+  terms_.erase(std::unique(terms_.begin(), terms_.end()), terms_.end());
+  if (!terms_.empty()) {
+    min_len_ = max_len_ = terms_[0].size();
+    for (const std::string& t : terms_) {
+      min_len_ = std::min(min_len_, t.size());
+      max_len_ = std::max(max_len_, t.size());
+    }
+  }
+}
+
+int KeywordRowMatcher::Find(std::string_view token) const {
+  if (token.size() < min_len_ || token.size() > max_len_) return -1;
+  for (size_t t = 0; t < terms_.size(); ++t) {
+    if (terms_[t] == token) return static_cast<int>(t);
+  }
+  return -1;
+}
+
+bool KeywordRowMatcher::Matches(std::string_view row) const {
+  const Slice text(row);
+  if (!require_all_) {
+    bool hit = false;
+    ForEachToken(text, [&](std::string_view token) {
+      hit = Find(token) >= 0;
+      return !hit;
+    });
+    return hit;
+  }
+  // AND: one bit per term, set the first time a row token equals it.
+  size_t missing = terms_.size();
+  if (missing == 0) return true;
+  uint64_t inline_seen = 0;
+  std::vector<uint64_t> heap_seen;
+  uint64_t* seen = &inline_seen;
+  if (terms_.size() > 64) {
+    heap_seen.assign((terms_.size() + 63) / 64, 0);
+    seen = heap_seen.data();
+  }
+  ForEachToken(text, [&](std::string_view token) {
+    int t = Find(token);
+    if (t >= 0) {
+      uint64_t bit = 1ULL << (t % 64);
+      uint64_t& word = seen[t / 64];
+      if ((word & bit) == 0) {
+        word |= bit;
+        --missing;
+      }
+    }
+    return missing != 0;
+  });
+  return missing == 0;
 }
 
 void EncodePostings(const std::vector<format::PageId>& pages, Buffer* out) {
@@ -377,11 +470,11 @@ Status KeywordQueryMany(ComponentFileReader* reader, ThreadPool* pool,
     return Status::InvalidArgument("not a keyword index");
   }
   if (terms.empty()) return Status::OK();
-  Buffer dict_buf;
+  Slice dict_buf;
   ROTTNEST_RETURN_NOT_OK(
       reader->ReadComponent(kDictComponent, pool, trace, &dict_buf));
   Dict dict;
-  ROTTNEST_RETURN_NOT_OK(DeserializeDict(Slice(dict_buf), &dict));
+  ROTTNEST_RETURN_NOT_OK(DeserializeDict(dict_buf, &dict));
 
   // Route: each term's candidate component is the last one whose first
   // term <= term. Terms before all first terms have no postings.
@@ -408,32 +501,23 @@ Status KeywordQueryMany(ComponentFileReader* reader, ThreadPool* pool,
   std::vector<std::string> names;
   names.reserve(needed.size());
   for (int c : needed) names.push_back(PostingName(c));
-  std::vector<Buffer> bufs;
+  std::vector<Slice> bufs;
   ROTTNEST_RETURN_NOT_OK(reader->ReadComponents(names, pool, trace, &bufs));
-  std::vector<std::vector<KeywordEntry>> parsed(needed.size());
+  std::vector<std::vector<format::PageId>> pages_of(terms.size());
   for (size_t i = 0; i < needed.size(); ++i) {
-    ROTTNEST_RETURN_NOT_OK(ParseKeywordPostings(Slice(bufs[i]), &parsed[i]));
+    std::vector<size_t> wanted;
+    for (size_t t = 0; t < terms.size(); ++t) {
+      if (term_component[t] == needed[i]) wanted.push_back(t);
+    }
+    ROTTNEST_RETURN_NOT_OK(
+        FindPostings(bufs[i], terms, std::move(wanted), &pages_of));
   }
 
   // Combine the per-term page sets: AND intersects, OR unions.
   bool first_term = true;
   std::vector<format::PageId> acc;
   for (size_t t = 0; t < terms.size(); ++t) {
-    std::vector<format::PageId> term_pages;
-    if (term_component[t] >= 0) {
-      size_t slot = static_cast<size_t>(
-          std::lower_bound(needed.begin(), needed.end(), term_component[t]) -
-          needed.begin());
-      const std::vector<KeywordEntry>& entries = parsed[slot];
-      auto it = std::lower_bound(
-          entries.begin(), entries.end(), terms[t],
-          [](const KeywordEntry& e, const std::string& term) {
-            return e.term < term;
-          });
-      if (it != entries.end() && it->term == terms[t]) {
-        term_pages = it->pages;
-      }
-    }
+    std::vector<format::PageId>& term_pages = pages_of[t];
     if (require_all) {
       if (term_pages.empty()) {
         pages->clear();
@@ -543,10 +627,10 @@ Status CollectKeywordStats(ComponentFileReader* reader, ThreadPool* pool,
     return Status::InvalidArgument("not a keyword index");
   }
   for (const std::string& name : OrderedPostingNames(*reader)) {
-    Buffer buf;
+    Slice buf;
     ROTTNEST_RETURN_NOT_OK(reader->ReadComponent(name, pool, trace, &buf));
     std::vector<KeywordEntry> entries;
-    ROTTNEST_RETURN_NOT_OK(ParseKeywordPostings(Slice(buf), &entries));
+    ROTTNEST_RETURN_NOT_OK(ParseKeywordPostings(buf, &entries));
     for (const KeywordEntry& e : entries) {
       ++out->terms;
       out->postings += e.pages.size();

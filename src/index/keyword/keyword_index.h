@@ -18,8 +18,10 @@
 #ifndef ROTTNEST_INDEX_KEYWORD_KEYWORD_INDEX_H_
 #define ROTTNEST_INDEX_KEYWORD_KEYWORD_INDEX_H_
 
+#include <array>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "format/page_table.h"
@@ -27,15 +29,81 @@
 
 namespace rottnest::index {
 
-/// Appends the tokens of `text` to `out`: maximal runs of ASCII
-/// alphanumerics, lowercased. Deterministic and locale-independent — build
-/// and query must agree, so both use this function.
+namespace internal {
+constexpr std::array<char, 256> MakeTokenBytes() {
+  std::array<char, 256> t{};
+  for (int c = '0'; c <= '9'; ++c) t[c] = static_cast<char>(c);
+  for (int c = 'a'; c <= 'z'; ++c) t[c] = static_cast<char>(c);
+  for (int c = 'A'; c <= 'Z'; ++c) t[c] = static_cast<char>(c - 'A' + 'a');
+  return t;
+}
+/// Token byte -> its lowercased form; 0 for separators (every byte that is
+/// not an ASCII letter or digit, including all bytes >= 0x80).
+inline constexpr std::array<char, 256> kTokenByte = MakeTokenBytes();
+}  // namespace internal
+
+/// The tokenizer core: calls `fn(token)` for each token of `text` in order
+/// — a maximal run of ASCII alphanumerics, lowercased — until `fn` returns
+/// false. The view is valid only during the call. Deterministic and
+/// locale-independent; index builds, query-term normalization and in-situ
+/// row verification all tokenize through it, so they cannot disagree.
+/// Allocates only for tokens longer than 64 bytes.
+template <typename Fn>
+void ForEachToken(Slice text, Fn&& fn) {
+  const uint8_t* p = text.data();
+  const uint8_t* const end = p + text.size();
+  char small[64] = {};
+  std::string large;
+  while (p < end) {
+    if (internal::kTokenByte[*p] == 0) {
+      ++p;
+      continue;
+    }
+    const uint8_t* start = p;
+    while (p < end && internal::kTokenByte[*p] != 0) ++p;
+    const size_t len = static_cast<size_t>(p - start);
+    char* lowered = small;
+    if (len > sizeof(small)) {
+      large.resize(len);
+      lowered = large.data();
+    }
+    for (size_t i = 0; i < len; ++i) {
+      lowered[i] = internal::kTokenByte[start[i]];
+    }
+    if (!fn(std::string_view(lowered, len))) return;
+  }
+}
+
+/// Appends the tokens of `text` to `out` (see ForEachToken).
 void Tokenize(Slice text, std::vector<std::string>* out);
 
 /// Normalizes a user-supplied query term through the tokenizer. Returns
 /// false unless the term normalizes to exactly one token (empty or
 /// multi-word input cannot match any posting).
 bool NormalizeTerm(Slice term, std::string* out);
+
+/// The in-situ keyword verification predicate: a row matches when its
+/// tokens contain every (AND) or any (OR) query term. Each token is
+/// compared in place against the term set as it is produced, with early
+/// exit; nothing is allocated per row for up to 64 terms. Const and
+/// stateless per call, so concurrent scans may share one matcher.
+class KeywordRowMatcher {
+ public:
+  /// `terms` must be tokenizer-normalized (NormalizeTerm); duplicates are
+  /// dropped.
+  KeywordRowMatcher(std::vector<std::string> terms, bool require_all);
+
+  bool Matches(std::string_view row) const;
+
+ private:
+  /// Index of `token` in terms_, or -1.
+  int Find(std::string_view token) const;
+
+  std::vector<std::string> terms_;  ///< Sorted, unique.
+  bool require_all_;
+  size_t min_len_ = 0;
+  size_t max_len_ = 0;
+};
 
 /// Encodes a sorted, deduplicated posting list: varint count, then (when
 /// non-empty) one width byte and the delta gaps bit-packed at that width.

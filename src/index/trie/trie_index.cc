@@ -219,12 +219,12 @@ class TrieLeafStream {
         entries_.clear();
         return Status::OK();
       }
-      Buffer buf;
+      Slice buf;
       ROTTNEST_RETURN_NOT_OK(
           input_->ReadComponent(leaf_names_[next_leaf_], pool_, trace_, &buf));
       ++next_leaf_;
       entries_.clear();
-      ROTTNEST_RETURN_NOT_OK(ParseTrieLeaf(Slice(buf), &entries_));
+      ROTTNEST_RETURN_NOT_OK(ParseTrieLeaf(buf, &entries_));
       pos_ = 0;
       if (entries_.empty()) continue;  // Defensive: skip empty leaves.
       for (TrieEntry& e : entries_) {
@@ -418,11 +418,11 @@ Status TrieQuery(ComponentFileReader* reader, ThreadPool* pool,
   if (reader->type() != IndexType::kTrie) {
     return Status::InvalidArgument("not a trie index");
   }
-  Buffer root_buf;
+  Slice root_buf;
   ROTTNEST_RETURN_NOT_OK(
       reader->ReadComponent(kRootComponent, pool, trace, &root_buf));
   Root root;
-  ROTTNEST_RETURN_NOT_OK(DeserializeRoot(Slice(root_buf), &root));
+  ROTTNEST_RETURN_NOT_OK(DeserializeRoot(root_buf, &root));
   if (root.first_keys.empty()) return Status::OK();
 
   // Route: the candidate leaf is the last one whose first key <= key.
@@ -435,11 +435,11 @@ Status TrieQuery(ComponentFileReader* reader, ThreadPool* pool,
   while (leaf > 0 && key < root.first_keys[leaf]) --leaf;
   if (key < root.first_keys[leaf]) return Status::OK();  // Before all keys.
 
-  Buffer leaf_buf;
+  Slice leaf_buf;
   ROTTNEST_RETURN_NOT_OK(
       reader->ReadComponent(LeafName(leaf), pool, trace, &leaf_buf));
   std::vector<TrieEntry> entries;
-  ROTTNEST_RETURN_NOT_OK(ParseTrieLeaf(Slice(leaf_buf), &entries));
+  ROTTNEST_RETURN_NOT_OK(ParseTrieLeaf(leaf_buf, &entries));
 
   // Entries are prefix-free and sorted: the only possible prefix of `key`
   // is the last entry with padded key <= key.
@@ -462,10 +462,10 @@ Status TrieQuery(ComponentFileReader* reader, ThreadPool* pool,
 
 Status LoadPageTable(ComponentFileReader* reader, ThreadPool* pool,
                      objectstore::IoTrace* trace, format::PageTable* out) {
-  Buffer buf;
+  Slice buf;
   ROTTNEST_RETURN_NOT_OK(
       reader->ReadComponent(kPageTableComponent, pool, trace, &buf));
-  Decoder dec{Slice(buf)};
+  Decoder dec{buf};
   return format::PageTable::Deserialize(&dec, out);
 }
 

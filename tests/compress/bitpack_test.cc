@@ -30,6 +30,18 @@ TEST_P(BitPackWidthTest, RoundTrip) {
   std::vector<uint64_t> out;
   ASSERT_TRUE(BitUnpack(Slice(buf), width, values.size(), &out).ok());
   EXPECT_EQ(out, values);
+  // Random access agrees with the sequential unpack at every index.
+  for (size_t i = 0; i < values.size(); ++i) {
+    uint64_t one = ~0ULL;
+    ASSERT_TRUE(BitUnpackAt(Slice(buf), width, i, &one).ok());
+    ASSERT_EQ(one, values[i]) << "index " << i;
+  }
+  if (width > 0) {
+    uint64_t one = 0;
+    EXPECT_TRUE(
+        BitUnpackAt(Slice(buf), width, buf.size() * 8 / width, &one)
+            .IsCorruption());
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Widths, BitPackWidthTest,

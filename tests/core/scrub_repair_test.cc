@@ -130,6 +130,9 @@ TEST_F(ScrubRepairTest, CleanWorldScrubsClean) {
   // Small indexes live entirely in the Open tail read, so their payload
   // checksums are verified there and the deep pass re-fetches nothing.
   EXPECT_EQ(report.bytes_verified, 0u);
+  // One GET per index (its tail read): decoding on first read must not
+  // turn the open-time checksums into fetches.
+  EXPECT_EQ(report.stats.gets, 3u);
   EXPECT_TRUE(client_->CheckInvariants().ok());
 }
 
@@ -369,7 +372,7 @@ TEST_F(ScrubRepairTest, DeepScrubCatchesRotThatShallowAuditsMiss) {
     ASSERT_TRUE(opened.ok()) << opened.status().ToString();
     auto& reader = opened.value();
     std::vector<std::string> names = reader->ComponentNames();
-    std::vector<Buffer> payloads;
+    std::vector<Slice> payloads;
     ASSERT_TRUE(
         reader->ReadComponents(names, nullptr, nullptr, &payloads).ok());
     Random rng(99);
@@ -378,7 +381,7 @@ TEST_F(ScrubRepairTest, DeepScrubCatchesRotThatShallowAuditsMiss) {
     index::ComponentFileWriter writer(reader->type(), reader->column());
     ASSERT_TRUE(writer.AddComponent("aa_pad", Slice(pad)).ok());
     for (size_t i = 0; i < names.size(); ++i) {
-      ASSERT_TRUE(writer.AddComponent(names[i], Slice(payloads[i])).ok());
+      ASSERT_TRUE(writer.AddComponent(names[i], payloads[i]).ok());
     }
     Buffer file;
     ASSERT_TRUE(writer.Finish(&file).ok());
@@ -393,6 +396,7 @@ TEST_F(ScrubRepairTest, DeepScrubCatchesRotThatShallowAuditsMiss) {
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     EXPECT_TRUE(r.value().findings.empty());
     EXPECT_GT(r.value().bytes_verified, 200u << 10);
+    EXPECT_EQ(r.value().stats.gets, 2u);  // Tail read + the pad only.
   }
 
   // Rot one byte in the middle of the pad, far outside the tail.
@@ -415,6 +419,7 @@ TEST_F(ScrubRepairTest, DeepScrubCatchesRotThatShallowAuditsMiss) {
   // The deep audit localizes the damage to the component.
   auto deep = client_->Scrub();
   ASSERT_TRUE(deep.ok()) << deep.status().ToString();
+  EXPECT_EQ(deep.value().stats.gets, 2u);
   ASSERT_EQ(ErrorCount(deep.value()), 1u);
   const ScrubFinding& f = deep.value().findings[0];
   EXPECT_EQ(f.kind, ScrubFindingKind::kCorruptComponent);

@@ -37,11 +37,11 @@ TEST_F(ComponentFileTest, WriteReadRoundTrip) {
   EXPECT_TRUE(reader.HasComponent("root"));
   EXPECT_FALSE(reader.HasComponent("ghost"));
 
-  Buffer payload;
+  Slice payload;
   ASSERT_TRUE(reader.ReadComponent("leaf.1", nullptr, nullptr, &payload).ok());
-  EXPECT_EQ(payload, Bytes("leafdata1"));
+  EXPECT_EQ(payload.ToBuffer(), Bytes("leafdata1"));
   ASSERT_TRUE(reader.ReadComponent("root", nullptr, nullptr, &payload).ok());
-  EXPECT_EQ(payload, Bytes("rootdata"));
+  EXPECT_EQ(payload.ToBuffer(), Bytes("rootdata"));
 }
 
 TEST_F(ComponentFileTest, DuplicateComponentRejected) {
@@ -60,9 +60,9 @@ TEST_F(ComponentFileTest, CompressibleComponentsShrink) {
 
   ASSERT_TRUE(store_.Put("k", Slice(file)).ok());
   auto reader = ComponentFileReader::Open(&store_, "k", nullptr).MoveValue();
-  Buffer payload;
+  Slice payload;
   ASSERT_TRUE(reader->ReadComponent("x", nullptr, nullptr, &payload).ok());
-  EXPECT_EQ(payload, big);
+  EXPECT_EQ(payload.ToBuffer(), big);
 }
 
 TEST_F(ComponentFileTest, TailComponentsCostNoExtraIo) {
@@ -80,15 +80,15 @@ TEST_F(ComponentFileTest, TailComponentsCostNoExtraIo) {
 
   IoTrace trace;
   auto reader = ComponentFileReader::Open(&store_, "k", &trace).MoveValue();
-  Buffer payload;
+  Slice payload;
   ASSERT_TRUE(reader->ReadComponent("root", nullptr, &trace, &payload).ok());
-  EXPECT_EQ(payload, Bytes("tiny root"));
+  EXPECT_EQ(payload.ToBuffer(), Bytes("tiny root"));
   EXPECT_EQ(trace.total_gets(), 1u);  // Tail read only.
   EXPECT_EQ(trace.depth(), 1u);
 
   // The bulk component needs one more dependent round.
   ASSERT_TRUE(reader->ReadComponent("bulk", nullptr, &trace, &payload).ok());
-  EXPECT_EQ(payload, big);
+  EXPECT_EQ(payload.ToBuffer(), big);
   EXPECT_EQ(trace.total_gets(), 2u);
   EXPECT_EQ(trace.depth(), 2u);
 }
@@ -110,7 +110,7 @@ TEST_F(ComponentFileTest, BatchReadIsOneRound) {
   ThreadPool pool(4);
   auto reader = ComponentFileReader::Open(&store_, "k", &trace).MoveValue();
   size_t depth_after_open = trace.depth();
-  std::vector<Buffer> results;
+  std::vector<Slice> results;
   ASSERT_TRUE(reader
                   ->ReadComponents({"list.3", "list.7", "list.11"}, &pool,
                                    &trace, &results)
@@ -130,7 +130,7 @@ TEST_F(ComponentFileTest, CachedComponentsAreFree) {
   ASSERT_TRUE(store_.Put("k", Slice(file)).ok());
 
   auto reader = ComponentFileReader::Open(&store_, "k", nullptr).MoveValue();
-  Buffer payload;
+  Slice payload;
   ASSERT_TRUE(reader->ReadComponent("big", nullptr, nullptr, &payload).ok());
   uint64_t gets = store_.stats().gets.load();
   ASSERT_TRUE(reader->ReadComponent("big", nullptr, nullptr, &payload).ok());
@@ -144,7 +144,7 @@ TEST_F(ComponentFileTest, MissingComponentIsNotFound) {
   ASSERT_TRUE(writer.Finish(&file).ok());
   ASSERT_TRUE(store_.Put("k", Slice(file)).ok());
   auto reader = ComponentFileReader::Open(&store_, "k", nullptr).MoveValue();
-  Buffer payload;
+  Slice payload;
   EXPECT_TRUE(
       reader->ReadComponent("nope", nullptr, nullptr, &payload).IsNotFound());
 }
@@ -174,12 +174,12 @@ TEST_F(ComponentFileTest, TinyTailReadStillWorks) {
   auto reader_r =
       ComponentFileReader::Open(&store_, "k", nullptr, /*tail_bytes=*/64);
   ASSERT_TRUE(reader_r.ok()) << reader_r.status().ToString();
-  Buffer payload;
+  Slice payload;
   ASSERT_TRUE(reader_r.value()
                   ->ReadComponent("component-with-a-long-name-137", nullptr,
                                   nullptr, &payload)
                   .ok());
-  EXPECT_EQ(payload, Bytes("payload137"));
+  EXPECT_EQ(payload.ToBuffer(), Bytes("payload137"));
 }
 
 TEST_F(ComponentFileTest, BitFlipInPayloadIsCorruption) {
@@ -201,7 +201,7 @@ TEST_F(ComponentFileTest, BitFlipInPayloadIsCorruption) {
   ASSERT_TRUE(store_.Put("k", Slice(corrupt)).ok());
   auto reader_r = ComponentFileReader::Open(&store_, "k", nullptr);
   ASSERT_TRUE(reader_r.ok()) << reader_r.status().ToString();
-  Buffer payload;
+  Slice payload;
   // `root` is tail-cached and intact.
   ASSERT_TRUE(
       reader_r.value()->ReadComponent("root", nullptr, nullptr, &payload).ok());
@@ -218,6 +218,110 @@ TEST_F(ComponentFileTest, BitFlipInPayloadIsCorruption) {
   EXPECT_TRUE(ComponentFileReader::Open(&store_, "k2", nullptr)
                   .status()
                   .IsCorruption());
+}
+
+TEST_F(ComponentFileTest, FlippedTailComponentFailsOpenNamingIt) {
+  // Decoding waits for the first read, but the checksum of every
+  // tail-resident component is still checked at Open: a flipped byte in
+  // one fails Open with a Corruption that names it.
+  ComponentFileWriter writer(IndexType::kTrie, "u");
+  Random rng(13);
+  Buffer bulk(400 << 10);  // Incompressible, larger than the 256KB tail.
+  for (auto& b : bulk) b = static_cast<uint8_t>(rng.Next());
+  ASSERT_TRUE(writer.AddComponent("bulk", Slice(bulk)).ok());
+  ASSERT_TRUE(writer.AddComponent("leaf", Slice(Bytes("leaf payload"))).ok());
+  ASSERT_TRUE(writer.AddComponent("root", Slice(Bytes("root payload"))).ok());
+  Buffer file;
+  ASSERT_TRUE(writer.Finish(&file).ok());
+
+  // Both small payloads are stored raw (LZ cannot shrink them), right
+  // after the 4-byte magic and `bulk`.
+  Buffer corrupt = file;
+  corrupt[4 + bulk.size() + 2] ^= 0x01;  // Inside "leaf payload".
+  ASSERT_TRUE(store_.Put("k", Slice(corrupt)).ok());
+  auto opened = ComponentFileReader::Open(&store_, "k", nullptr);
+  ASSERT_TRUE(opened.status().IsCorruption()) << opened.status().ToString();
+  EXPECT_NE(opened.status().ToString().find("leaf"), std::string::npos)
+      << opened.status().ToString();
+}
+
+TEST_F(ComponentFileTest, ViewsStayByteEqualAfterLaterReads) {
+  // A view points into the reader's decoded cache; later reads — fetched
+  // or tail-resident, single or batched, repeated names included — must
+  // not move or change the bytes it shows.
+  ComponentFileWriter writer(IndexType::kIvfPq, "vec");
+  Random rng(17);
+  std::vector<Buffer> truth;
+  std::vector<std::string> names;
+  for (int i = 0; i < 12; ++i) {
+    Buffer data((i % 3 == 0 ? 40 : 4) << 10);
+    for (auto& b : data) b = static_cast<uint8_t>('a' + rng.Uniform(4));
+    names.push_back("c." + std::to_string(i));
+    ASSERT_TRUE(writer.AddComponent(names.back(), Slice(data)).ok());
+    truth.push_back(std::move(data));
+  }
+  Buffer file;
+  ASSERT_TRUE(writer.Finish(&file).ok());
+  ASSERT_TRUE(store_.Put("k", Slice(file)).ok());
+
+  ThreadPool pool(2);
+  auto reader = ComponentFileReader::Open(&store_, "k", nullptr,
+                                          /*tail_bytes=*/32 << 10)
+                    .MoveValue();
+  size_t in_tail = 0;
+  for (const ComponentInfo& c : reader->Components()) {
+    in_tail += c.verified_at_open ? 1 : 0;
+  }
+  ASSERT_GT(in_tail, 0u);            // Some decode from the kept tail...
+  ASSERT_LT(in_tail, names.size());  // ...and some are fetched.
+  std::vector<Slice> first;
+  ASSERT_TRUE(
+      reader->ReadComponents({"c.0", "c.11"}, &pool, nullptr, &first).ok());
+  for (size_t i = 1; i < names.size(); ++i) {
+    Slice one;
+    ASSERT_TRUE(reader->ReadComponent(names[i], &pool, nullptr, &one).ok());
+    EXPECT_EQ(one.ToBuffer(), truth[i]);
+  }
+  std::vector<Slice> again;
+  ASSERT_TRUE(
+      reader->ReadComponents(names, &pool, nullptr, &again).ok());
+  ASSERT_TRUE(reader->ReadComponents({"c.3", "c.3"}, &pool, nullptr, &again)
+                  .ok());
+  EXPECT_EQ(first[0].ToBuffer(), truth[0]);
+  EXPECT_EQ(first[1].ToBuffer(), truth[11]);
+  EXPECT_EQ(again[0].data(), again[1].data());  // One decoded copy.
+}
+
+TEST_F(ComponentFileTest, ReadingOneComponentDecodesOnlyThatComponent) {
+  // Open decodes nothing, even for components its tail read covers; the
+  // first read of a component decodes exactly that one, with no IO.
+  ComponentFileWriter writer(IndexType::kFm, "body");
+  std::vector<std::string> names = {"a", "b", "c", "d"};
+  for (size_t i = 0; i < names.size(); ++i) {
+    Buffer data(1000 * (i + 1), static_cast<uint8_t>('a' + i));
+    ASSERT_TRUE(writer.AddComponent(names[i], Slice(data)).ok());
+  }
+  Buffer file;
+  ASSERT_TRUE(writer.Finish(&file).ok());
+  ASSERT_TRUE(store_.Put("k", Slice(file)).ok());
+
+  IoTrace trace;
+  auto reader = ComponentFileReader::Open(&store_, "k", &trace).MoveValue();
+  for (const ComponentInfo& c : reader->Components()) {
+    EXPECT_TRUE(c.verified_at_open) << c.name;
+  }
+  EXPECT_EQ(reader->decoded_bytes(), 0u);
+  Slice c;
+  ASSERT_TRUE(reader->ReadComponent("c", nullptr, &trace, &c).ok());
+  EXPECT_EQ(c.ToBuffer(), Buffer(3000, 'c'));
+  EXPECT_EQ(reader->decoded_bytes(), 3000u);
+  EXPECT_EQ(trace.total_gets(), 1u);  // The tail read only.
+
+  reader->Evict("c");
+  EXPECT_EQ(reader->decoded_bytes(), 0u);
+  ASSERT_TRUE(reader->ReadComponent("c", nullptr, &trace, &c).ok());
+  EXPECT_EQ(c.ToBuffer(), Buffer(3000, 'c'));
+  EXPECT_EQ(trace.total_gets(), 1u);  // Re-decoded from the kept tail.
 }
 
 TEST_F(ComponentFileTest, TruncatedFileIsRejected) {

@@ -65,7 +65,7 @@ class CorruptionSweepTest : public ::testing::Test {
     auto& reader = opened.value();
     bool damaged = false;
 
-    std::vector<Buffer> payloads;
+    std::vector<Slice> payloads;
     Status read = reader->ReadComponents(names_, nullptr, nullptr, &payloads);
     if (!read.ok()) {
       EXPECT_TRUE(read.IsCorruption())
@@ -75,7 +75,7 @@ class CorruptionSweepTest : public ::testing::Test {
     } else {
       for (size_t i = 0; i < names_.size(); ++i) {
         // The inviolable line: an OK read must return the true bytes.
-        EXPECT_EQ(payloads[i], truth_[i])
+        EXPECT_EQ(payloads[i].ToBuffer(), truth_[i])
             << context << ": component " << names_[i]
             << " read OK but returned WRONG bytes";
       }

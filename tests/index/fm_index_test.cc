@@ -163,6 +163,35 @@ TEST_F(FmIndexTest, CountMatchesNaive) {
   }
 }
 
+TEST_F(FmIndexTest, CountsAcrossLongBwtRuns) {
+  // A run-heavy text gives a BWT of long single-symbol runs, so Occ counts
+  // thousands of equal bytes inside one 64 KB block — the densest input for
+  // the word-at-a-time symbol count.
+  std::string text;
+  for (int i = 0; i < 40; ++i) text += std::string(1000 + 7 * i, 'a') + "b";
+  FmOptions options;
+  options.block_size = 65536;
+  options.sample_rate = 8;
+  BuildIndex("idx/runs.index", {text}, options);
+  auto reader = ComponentFileReader::Open(&store_, "idx/runs.index", nullptr)
+                    .MoveValue();
+  std::string all = text + "\x01";
+  for (const std::string& pattern :
+       {std::string("aa"), std::string(500, 'a'), std::string("ab"),
+        std::string("ba"), std::string("bab"), std::string(1100, 'a') + "b",
+        std::string("aaab")}) {
+    uint64_t count;
+    ASSERT_TRUE(
+        FmCount(reader.get(), &pool_, nullptr, Slice(pattern), &count).ok());
+    EXPECT_EQ(count, NaiveCount(all, pattern)) << pattern.size();
+  }
+  std::vector<format::PageId> pages;
+  ASSERT_TRUE(FmLocatePages(reader.get(), &pool_, nullptr,
+                            Slice(std::string("aab")), 64, &pages)
+                  .ok());
+  EXPECT_EQ(pages, (std::vector<format::PageId>{0}));
+}
+
 TEST_F(FmIndexTest, CountOnZipfianText) {
   Random rng(31);
   static const char* words[] = {"error",  "timeout", "pod",    "disk",

@@ -313,10 +313,10 @@ TEST_F(IvfPqTest, MergePreservesSearchability) {
 
   // Merged page table spans both inputs.
   format::PageTable table;
-  Buffer table_buf;
+  Slice table_buf;
   ASSERT_TRUE(
       rm->ReadComponent("pagetable", &pool_, nullptr, &table_buf).ok());
-  Decoder dec{Slice(table_buf)};
+  Decoder dec{table_buf};
   ASSERT_TRUE(format::PageTable::Deserialize(&dec, &table).ok());
   EXPECT_EQ(table.num_files(), 2u);
   EXPECT_EQ(table.num_pages(), 30u);

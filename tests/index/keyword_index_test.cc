@@ -30,6 +30,10 @@ TEST(KeywordTokenizerTest, LowercasesAndSplitsOnNonAlnum) {
   EXPECT_EQ(Tokens("a-b_c.d"), (std::vector<std::string>{"a", "b", "c", "d"}));
   EXPECT_EQ(Tokens("err404 trace7x"),
             (std::vector<std::string>{"err404", "trace7x"}));
+  // Tokens past the tokenizer's 64-byte stack buffer come out whole.
+  EXPECT_EQ(Tokens(std::string(64, 'Q') + "," + std::string(300, 'Z') + "9"),
+            (std::vector<std::string>{std::string(64, 'q'),
+                                      std::string(300, 'z') + "9"}));
 }
 
 TEST(KeywordTokenizerTest, EmptyAndPunctuationOnlyDocsYieldNoTokens) {
@@ -62,6 +66,129 @@ TEST(KeywordTokenizerTest, PreparePageTokensDeduplicatesWithinPage) {
   std::vector<std::string> tokens;
   KeywordIndexBuilder::PreparePageTokens(values, &tokens);
   EXPECT_EQ(tokens, (std::vector<std::string>{"delta", "spark"}));
+}
+
+// ---------------------------------------------------------------------------
+// Differential test of the in-situ row predicate against the reference it
+// replaced: tokenize the row, sort the tokens, binary_search each term.
+// The reference tokenizer is the plain byte loop, independent of
+// ForEachToken, so a drift in the shared core shows up here too.
+
+std::vector<std::string> ReferenceTokens(const std::string& text) {
+  std::vector<std::string> out;
+  std::string token;
+  for (char c : text) {
+    if ((c >= 'a' && c <= 'z') || (c >= '0' && c <= '9')) {
+      token.push_back(c);
+    } else if (c >= 'A' && c <= 'Z') {
+      token.push_back(static_cast<char>(c - 'A' + 'a'));
+    } else if (!token.empty()) {
+      out.push_back(std::move(token));
+      token.clear();
+    }
+  }
+  if (!token.empty()) out.push_back(std::move(token));
+  return out;
+}
+
+bool ReferenceRowMatches(const std::string& row,
+                         const std::vector<std::string>& terms,
+                         bool require_all) {
+  std::vector<std::string> toks = ReferenceTokens(row);
+  std::sort(toks.begin(), toks.end());
+  for (const std::string& t : terms) {
+    bool has = std::binary_search(toks.begin(), toks.end(), t);
+    if (require_all && !has) return false;
+    if (!require_all && has) return true;
+  }
+  return require_all;
+}
+
+/// A token-ish fragment: vocabulary words in random case (some glued to
+/// digits), punctuation, bytes >= 0x80 (alone and inside words), or a long
+/// alphanumeric run that no fixed buffer holds.
+std::string Fragment(Random* rng, const std::vector<std::string>& vocab) {
+  switch (rng->Uniform(8)) {
+    case 0:
+      return std::string(1 + rng->Uniform(3), ",.;:!?-_/ "[rng->Uniform(10)]);
+    case 1: {
+      std::string high;
+      for (uint64_t i = 1 + rng->Uniform(3); i > 0; --i) {
+        high.push_back(static_cast<char>(0x80 + rng->Uniform(128)));
+      }
+      return high;
+    }
+    case 2:
+      return std::to_string(rng->Uniform(1000));
+    default: {
+      std::string w = vocab[rng->Uniform(vocab.size())];
+      for (char& c : w) {
+        if (rng->Uniform(3) == 0 && c >= 'a' && c <= 'z') c -= 'a' - 'A';
+      }
+      if (rng->Uniform(8) == 0) w.insert(rng->Uniform(w.size() + 1), "\xc3");
+      if (rng->Uniform(8) == 0) w += std::to_string(rng->Uniform(10));
+      return w;
+    }
+  }
+}
+
+TEST(KeywordRowMatcherTest, AgreesWithSortedTokenReference) {
+  Random rng(2024);
+  std::vector<std::string> vocab = {"error", "lake", "index", "page",
+                                    "scan",  "q",    "x1",    "404"};
+  // Tokens longer than any fixed buffer, as both row words and terms.
+  for (size_t len : {63, 64, 65, 200, 1000}) {
+    std::string w;
+    for (size_t i = 0; i < len; ++i) w.push_back('a' + rng.Uniform(3));
+    vocab.push_back(w);
+  }
+  const size_t max_terms = 8;
+  for (int iter = 0; iter < 400; ++iter) {
+    std::vector<std::string> terms;
+    for (size_t n = 1 + rng.Uniform(max_terms); n > 0; --n) {
+      std::string t = vocab[rng.Uniform(vocab.size())];
+      if (rng.Uniform(4) == 0) t += std::to_string(rng.Uniform(10));
+      std::string norm;
+      ASSERT_TRUE(NormalizeTerm(Slice(t), &norm)) << t;
+      ASSERT_EQ(ReferenceTokens(t), std::vector<std::string>{norm});
+      terms.push_back(norm);
+    }
+    std::sort(terms.begin(), terms.end());
+    terms.erase(std::unique(terms.begin(), terms.end()), terms.end());
+    for (bool require_all : {true, false}) {
+      const KeywordRowMatcher matcher(terms, require_all);
+      for (int r = 0; r < 25; ++r) {
+        std::string row;
+        for (uint64_t f = rng.Uniform(12); f > 0; --f) {
+          row += Fragment(&rng, vocab);
+          if (rng.Uniform(2) == 0) row += ' ';
+        }
+        ASSERT_EQ(Tokens(row), ReferenceTokens(row)) << "row '" << row << "'";
+        ASSERT_EQ(matcher.Matches(row),
+                  ReferenceRowMatches(row, terms, require_all))
+            << (require_all ? "AND" : "OR") << " row '" << row << "'";
+      }
+    }
+  }
+}
+
+TEST(KeywordRowMatcherTest, HandlesMoreTermsThanOneMaskWord) {
+  // Past 64 terms the AND bitmask spills to more words; the answer must
+  // not change.
+  std::vector<std::string> terms;
+  std::string all, most;
+  for (int i = 0; i < 70; ++i) {
+    terms.push_back("t" + std::to_string(i));
+    all += "T" + std::to_string(i) + " ";
+    if (i != 66) most += "t" + std::to_string(i) + ",";
+  }
+  const KeywordRowMatcher both(terms, /*require_all=*/true);
+  EXPECT_TRUE(both.Matches(all));
+  EXPECT_FALSE(both.Matches(most));
+  EXPECT_FALSE(both.Matches(""));
+  const KeywordRowMatcher any(terms, /*require_all=*/false);
+  EXPECT_TRUE(any.Matches("zzz t69"));
+  EXPECT_FALSE(any.Matches("t70 t"));
 }
 
 std::vector<format::PageId> RoundTrip(const std::vector<format::PageId>& in) {
@@ -242,6 +369,71 @@ TEST_F(KeywordIndexTest, MultiTermLookupIsOnePostingRound) {
                   .ok());
   // Open (tail incl. dict) + at most one posting-component round.
   EXPECT_LE(trace.depth(), 2u);
+}
+
+TEST_F(KeywordIndexTest, ManyTermQueriesMatchReferenceAcrossComponents) {
+  // Thousands of terms spread over several posting components; random
+  // AND/OR queries — repeated terms, absent terms, terms sharing a
+  // component — must equal the set algebra over the built postings.
+  format::PageTable table = MakePages("data/m.lake", 64);
+  KeywordIndexBuilder builder("body");
+  std::map<std::string, std::vector<format::PageId>> expected;
+  Random rng(31);
+  for (int t = 0; t < 12000; ++t) {
+    std::string term = "w" + std::to_string(t);
+    for (uint64_t k = 1 + rng.Uniform(12); k > 0; --k) {
+      auto page = static_cast<format::PageId>(rng.Uniform(64));
+      builder.Add(term, page);
+      expected[term].push_back(page);
+    }
+  }
+  for (auto& [term, pages] : expected) {
+    std::sort(pages.begin(), pages.end());
+    pages.erase(std::unique(pages.begin(), pages.end()), pages.end());
+  }
+  Buffer file;
+  ASSERT_TRUE(builder.Finish(table, &file).ok());
+  ASSERT_TRUE(store_.Put("idx/m.index", Slice(file)).ok());
+  auto reader = Open("idx/m.index");
+  size_t components = 0;
+  for (const std::string& name : reader->ComponentNames()) {
+    components += name.rfind("post.", 0) == 0 ? 1 : 0;
+  }
+  ASSERT_GE(components, 3u);
+
+  for (int q = 0; q < 300; ++q) {
+    std::vector<std::string> terms;
+    for (uint64_t n = 1 + rng.Uniform(4); n > 0; --n) {
+      terms.push_back(rng.Uniform(8) == 0
+                          ? "x" + std::to_string(rng.Uniform(100))
+                          : "w" + std::to_string(rng.Uniform(12000)));
+      if (rng.Uniform(6) == 0) terms.push_back(terms.back());
+    }
+    for (bool require_all : {true, false}) {
+      std::vector<format::PageId> want;
+      for (size_t i = 0; i < terms.size(); ++i) {
+        auto it = expected.find(terms[i]);
+        std::vector<format::PageId> pages =
+            it == expected.end() ? std::vector<format::PageId>{} : it->second;
+        std::vector<format::PageId> next;
+        if (i == 0) {
+          next = pages;
+        } else if (require_all) {
+          std::set_intersection(want.begin(), want.end(), pages.begin(),
+                                pages.end(), std::back_inserter(next));
+        } else {
+          std::set_union(want.begin(), want.end(), pages.begin(), pages.end(),
+                         std::back_inserter(next));
+        }
+        want = std::move(next);
+      }
+      std::vector<format::PageId> got;
+      ASSERT_TRUE(KeywordQueryMany(reader.get(), &pool_, nullptr, terms,
+                                   require_all, &got)
+                      .ok());
+      ASSERT_EQ(got, want) << "query " << q << (require_all ? " AND" : " OR");
+    }
+  }
 }
 
 TEST_F(KeywordIndexTest, FinishIsByteIdenticalAcrossThreadCounts) {

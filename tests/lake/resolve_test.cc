@@ -334,6 +334,8 @@ TEST_F(ResolveRoundsTest, SaturatedComputePoolStillMakesTwoRounds) {
       ++parked;
       cv.notify_all();
       cv.wait(lock, [&] { return release; });
+      --parked;
+      cv.notify_all();
     });
   }
   {
@@ -342,10 +344,13 @@ TEST_F(ResolveRoundsTest, SaturatedComputePoolStillMakesTwoRounds) {
   }
   int rounds = SearchRounds();
   {
-    std::lock_guard<std::mutex> lock(mu);
+    // The parked tasks use this frame's mu and cv: wait until every one has
+    // left them before the frame (and both) goes away.
+    std::unique_lock<std::mutex> lock(mu);
     release = true;
+    cv.notify_all();
+    cv.wait(lock, [&] { return parked == 0; });
   }
-  cv.notify_all();
   EXPECT_EQ(rounds, 2);
 }
 
