@@ -1,7 +1,7 @@
 // Shared measurement harness for the figure benches: builds the synthetic
-// workloads, runs indexed / brute-force / copy-data searches, projects S3
-// latencies from recorded access patterns, and derives the §VI cost
-// parameters at paper scale.
+// workloads, runs indexed and brute-force searches, projects S3 latencies
+// from recorded access patterns, and derives the §VI cost parameters at
+// paper scale (the copy-data baseline enters by its cost alone).
 #ifndef ROTTNEST_BENCH_BENCH_UTIL_H_
 #define ROTTNEST_BENCH_BENCH_UTIL_H_
 
@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "baseline/brute_force.h"
-#include "baseline/dedicated_service.h"
 #include "common/json.h"
 #include "core/rottnest.h"
 #include "objectstore/object_store.h"

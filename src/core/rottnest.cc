@@ -263,13 +263,14 @@ class RangeFilter {
   std::map<std::pair<std::string, size_t>, format::ColumnVector> chunks_;
 };
 
-/// Extracts the longest regex-free literal run from an ECMAScript regex —
-/// the substring every match must contain, suitable for FM-index location.
+/// Extracts the longest literal run every match of an ECMAScript regex must
+/// contain, for FM-index location ("" when none is guaranteed). Only runs
+/// outside every group count: a group may be optional, repeated, a
+/// lookaround or an alternation.
 std::string LongestRegexLiteral(const std::string& pattern) {
   std::string best, current;
+  size_t depth = 0;  // Group nesting; literals count only at depth 0.
   auto flush = [&] {
-    // A literal directly before a quantifier is not guaranteed (e.g. the
-    // 'o' in "fo*"); drop its last char from the guaranteed run.
     if (current.size() > best.size()) best = current;
     current.clear();
   };
@@ -278,20 +279,28 @@ std::string LongestRegexLiteral(const std::string& pattern) {
     switch (c) {
       case '\\':
         // Escaped char: a guaranteed literal only for escaped punctuation.
+        // An escaped letter or digit is a class, an anchor, a
+        // back-reference or a code-unit escape, whose operand (\xHH,
+        // \uHHHH, \cX) is skipped with it.
         if (i + 1 < pattern.size() && !std::isalnum(static_cast<unsigned char>(
                                           pattern[i + 1]))) {
-          current.push_back(pattern[i + 1]);
+          if (depth == 0) current.push_back(pattern[i + 1]);
           ++i;
         } else {
-          ++i;
           flush();
+          if (++i < pattern.size()) {
+            const char e = pattern[i];
+            i += e == 'x' ? 2 : e == 'u' ? 4 : e == 'c' ? 1 : 0;
+          }
         }
         break;
       case '*':
       case '+':
       case '?':
       case '{':
-        // Quantifier: the preceding char was optional/repeated.
+        // Quantifier: the preceding char was optional/repeated, so a
+        // literal directly before it is not guaranteed (e.g. the 'o' in
+        // "fo*"); drop its last char from the guaranteed run.
         if (!current.empty()) current.pop_back();
         flush();
         // Skip the {...} body.
@@ -300,21 +309,30 @@ std::string LongestRegexLiteral(const std::string& pattern) {
       case '|':
         // Alternation invalidates any guarantee: nothing is required.
         return std::string();
+      case '(':
+        ++depth;
+        flush();
+        break;
+      case ')':
+        if (depth > 0) --depth;
+        flush();
+        break;
       case '.':
       case '[':
       case ']':
-      case '(':
-      case ')':
       case '^':
       case '$':
         flush();
-        // Skip character classes wholesale.
+        // Skip character classes wholesale; an escaped char (\]) inside
+        // one does not close it.
         if (c == '[') {
-          while (i + 1 < pattern.size() && pattern[i] != ']') ++i;
+          while (++i < pattern.size() && pattern[i] != ']') {
+            if (pattern[i] == '\\') ++i;
+          }
         }
         break;
       default:
-        current.push_back(c);
+        if (depth == 0) current.push_back(c);
     }
   }
   flush();
@@ -527,8 +545,8 @@ class MatchSet {
   std::set<std::pair<std::string, uint64_t>> seen_;
 };
 
-/// A scan's row predicate: true when `value` matches. Scoring scans set
-/// *distance.
+/// A search's row predicate, run by the probe and the scan: true when
+/// `value` matches. Scoring scans set *distance.
 using RowPredicate =
     std::function<bool(std::string_view value, float* distance)>;
 
@@ -1237,235 +1255,151 @@ void RecordUncovered(const SearchOptions& opts, size_t uncovered,
   }
 }
 
+/// Finds one index's candidate pages for a search: `hits` receives pages
+/// that may hold a match, a superset the probe verifies.
+using PageLocate = std::function<Status(
+    ComponentFileReader* reader, objectstore::IoTrace* trace,
+    std::vector<PageId>* hits)>;
+
 }  // namespace
 
-Result<SearchResult> Rottnest::ExecUuid(const std::string& column,
-                                        Slice value, size_t k,
-                                        const SearchOptions& opts) {
-  objectstore::IoTrace* trace = opts.trace;
-  auto wall_start = std::chrono::steady_clock::now();
-  // End-to-end deadline (0 = none, submit-time absolute wins — see
-  // ResolveSearchDeadline). Admission/overload policy lives in the serving
-  // layer; a direct call runs unadmitted.
-  Deadline deadline = ResolveSearchDeadline(opts, &store_->clock());
-  ScopedOpDeadline ambient(deadline);
-  internal::OpObs op(store_, cache_store_.get(), opts.obs, "search_uuid");
-  Plan plan;
-  {
-    internal::OpPhase phase(&op, "plan");
-    ROTTNEST_RETURN_NOT_OK(
-        MakePlan(column, IndexType::kTrie, opts.snapshot, trace, &plan));
-  }
-  const ColumnSchema& col_schema =
-      table_->schema().columns[plan.column_index];
-  RangeFilter rf(read_store(), plan.snapshot, table_->schema(), opts.range);
-  ROTTNEST_RETURN_NOT_OK(rf.Validate());
-  index::Key128 key = index::KeyFromValue(value);
+/// One search's shared per-query state. The end-to-end deadline (0 = none;
+/// a submit-time absolute deadline wins, see ResolveSearchDeadline) is
+/// installed as the ambient one; admission/overload policy lives in the
+/// serving layer, so a direct call runs unadmitted. The op's
+/// instrumentation is named after the query kind. Prepare() then plans the
+/// search; the range filter, DV cache, degradation ledger and result serve
+/// every phase after it. Count, which has no deadline and no SearchResult,
+/// keeps its own setup.
+struct Rottnest::ExecContext {
+  ExecContext(Rottnest* db, const char* op_name, const SearchOptions& opts)
+      : db(db),
+        opts(opts),
+        trace(opts.trace),
+        deadline(ResolveSearchDeadline(opts, &db->store_->clock())),
+        ambient(deadline),
+        op(db->store_, db->cache_store_.get(), opts.obs, op_name),
+        rf(db->read_store(), plan.snapshot, db->table_->schema(), opts.range),
+        dvs(plan.snapshot) {}
 
-  SearchResult result;
-  RecordUncovered(opts, plan.unindexed.size(), &result);
-  DvCache dvs(plan.snapshot);
-  MatchSet found(&result.matches);
-
-  // Fan out: query the applicable index files concurrently, each task
-  // collecting page fetches (filtered to the snapshot) into its own slot,
-  // then aggregate in plan order. A failing index degrades to scanning its
-  // covered files (below) rather than failing the whole query.
-  std::vector<std::vector<PageFetch>> per_index(plan.indexes.size());
-  std::vector<Status> statuses = FanOut(
-      &pool_, plan.indexes.size(), opts.parallelism, deadline, "index query",
-      trace, &op,
-      [&](size_t i) { return "index:" + plan.indexes[i].index_path; },
-      [&](size_t i, objectstore::IoTrace* t) -> Status {
-        const IndexEntry& entry = plan.indexes[i];
-        ROTTNEST_ASSIGN_OR_RETURN(
-            std::unique_ptr<ComponentFileReader> reader,
-            ComponentFileReader::Open(read_store(), entry.index_path, t));
-        std::vector<PageId> hits;
-        ROTTNEST_RETURN_NOT_OK(
-            index::TrieQuery(reader.get(), &io_, t, key, &hits));
-        if (hits.empty()) return Status::OK();
-        PageTable pages;
-        ROTTNEST_RETURN_NOT_OK(
-            index::LoadPageTable(reader.get(), &io_, t, &pages));
-        for (PageId p : hits) {
-          // Filter postings pointing outside the snapshot (paper §IV-B
-          // step 2).
-          if (!plan.snapshot.ContainsFile(pages.file_of(p))) continue;
-          per_index[i].push_back(pages.MakeFetch(p));
-        }
-        return Status::OK();
-      });
-  std::vector<PageFetch> fetches;
-  DegradedIndexes degraded;
-  size_t indexes_cut = 0;
-  for (size_t i = 0; i < plan.indexes.size(); ++i) {
-    if (statuses[i].ok()) {
-      degraded.RecordSuccess(plan.indexes[i]);
-      fetches.insert(fetches.end(), per_index[i].begin(),
-                     per_index[i].end());
-    } else if (IsCutShort(statuses[i])) {
-      // Deadline/breaker cuts degrade to a partial result, NOT to the
-      // brute-scan fallback a corrupt index gets.
-      MarkCutShort(&result, plan.indexes[i].index_path, statuses[i]);
-      ++indexes_cut;
-    } else {
-      degraded.RecordFailure(plan.indexes[i], statuses[i], &result);
+  /// Plans the search over `column`'s indexes of `type` and records the
+  /// files none of them covers.
+  Status Prepare(const std::string& column, IndexType type) {
+    {
+      internal::OpPhase phase(&op, "plan");
+      ROTTNEST_RETURN_NOT_OK(
+          db->MakePlan(column, type, opts.snapshot, trace, &plan));
     }
+    ROTTNEST_RETURN_NOT_OK(rf.Validate());
+    RecordUncovered(opts, plan.unindexed.size(), &result);
+    return Status::OK();
   }
-  result.indexes_queried =
-      plan.indexes.size() - result.indexes_degraded - indexes_cut;
-  result.indexes_quarantined =
-      HandleSearchFailures(opts, degraded.failures());
 
-  // In-situ probing: verify candidate pages against the actual value.
-  {
-    internal::OpPhase phase(&op, "probe");
-    auto probe = [&]() -> Status {
-      ROTTNEST_RETURN_NOT_OK(deadline.Check("probe"));
-      std::vector<ColumnVector> probed;
-      ROTTNEST_RETURN_NOT_OK(ProbePages(read_store(), &io_, fetches,
-                                        col_schema, &dvs, trace, &probed));
-      result.pages_probed = fetches.size();
-      for (size_t i = 0; i < fetches.size(); ++i) {
-        for (size_t r = 0; r < probed[i].size(); ++r) {
-          std::string_view v = ValueAt(probed[i], r);
-          if (Slice(v) == value) {
-            uint64_t row = fetches[i].page.first_row + r;
-            ROTTNEST_ASSIGN_OR_RETURN(bool deleted,
-                                      dvs.IsDeleted(fetches[i].key, row));
-            if (!deleted) found.Add({fetches[i].key, row, std::string(v), 0});
-          }
-        }
+  const ColumnSchema& column() const {
+    return db->table_->schema().columns[plan.column_index];
+  }
+
+  /// The index fan-out (paper §IV-B step 1): opens every planned index and
+  /// runs `query` on it concurrently, each into its own slot, then returns
+  /// the successful slots concatenated in plan order. A failing index
+  /// degrades to scanning its covered files (degraded.FilesToScan) rather
+  /// than failing the whole query, and goes to HandleSearchFailures.
+  template <typename T>
+  std::vector<T> QueryIndexes(
+      const std::function<Status(ComponentFileReader*, objectstore::IoTrace*,
+                                 std::vector<T>*)>& query) {
+    const std::vector<IndexEntry>& indexes = plan.indexes;
+    std::vector<std::vector<T>> per_index(indexes.size());
+    std::vector<Status> statuses = FanOut(
+        &db->pool_, indexes.size(), opts.parallelism, deadline, "index query",
+        trace, &op, [&](size_t i) { return "index:" + indexes[i].index_path; },
+        [&](size_t i, objectstore::IoTrace* t) -> Status {
+          ROTTNEST_ASSIGN_OR_RETURN(
+              std::unique_ptr<ComponentFileReader> reader,
+              ComponentFileReader::Open(db->read_store(),
+                                        indexes[i].index_path, t));
+          return query(reader.get(), t, &per_index[i]);
+        });
+    std::vector<T> found;
+    size_t indexes_cut = 0;
+    for (size_t i = 0; i < indexes.size(); ++i) {
+      if (statuses[i].ok()) {
+        degraded.RecordSuccess(indexes[i]);
+        found.insert(found.end(), per_index[i].begin(), per_index[i].end());
+      } else if (IsCutShort(statuses[i])) {
+        // Deadline/breaker cuts degrade to a partial result, NOT to the
+        // brute-scan fallback a corrupt index gets.
+        MarkCutShort(&result, indexes[i].index_path, statuses[i]);
+        ++indexes_cut;
+      } else {
+        degraded.RecordFailure(indexes[i], statuses[i], &result);
       }
-      return rf.FilterMatches(&result.matches, trace);
-    };
-    Status probe_status = probe();
-    if (IsCutShort(probe_status)) {
-      MarkCutShort(&result, "probe", probe_status);
-    } else {
-      ROTTNEST_RETURN_NOT_OK(probe_status);
     }
+    result.indexes_queried =
+        indexes.size() - result.indexes_degraded - indexes_cut;
+    result.indexes_quarantined =
+        db->HandleSearchFailures(opts, degraded.failures());
+    return found;
   }
 
-  {
-    internal::OpPhase phase(&op, "scan");
-    // Degraded fallback first: files whose only index coverage failed are
-    // scanned unconditionally (a fault-free query would have consulted
-    // their index regardless of k), all at once. Then the unindexed
-    // fallback, one file at a time while top-k is unsatisfied.
-    FileScan fs{read_store(), &pool_, &io_, plan.column_index, &rf, &dvs,
-                deadline, opts.parallelism, [&](std::string_view v, float*) {
-                  return Slice(v) == value;
-                }};
-    auto scan = [&]() -> Status {
-      ROTTNEST_RETURN_NOT_OK(deadline.Check("scan"));
-      ROTTNEST_RETURN_NOT_OK(fs.All(degraded.FilesToScan(plan.snapshot),
-                                    trace, &found, &result.files_scanned));
-      return fs.UntilK(plan.unindexed, k, trace, &found,
-                       &result.files_scanned);
-    };
-    Status scan_status = scan();
-    if (IsCutShort(scan_status)) {
-      MarkCutShort(&result, "scan", scan_status);
-    } else {
-      ROTTNEST_RETURN_NOT_OK(scan_status);
-    }
+  /// Runs one serial phase (probe or scan) under its span, once the
+  /// deadline allows it to start. A deadline or breaker cut marks the
+  /// result partial and keeps what the phase found; any other failure
+  /// fails the search.
+  Status Phase(const char* name, const std::function<Status()>& body) {
+    internal::OpPhase phase(&op, name);
+    Status s = deadline.Check(name);
+    if (s.ok()) s = body();
+    if (!IsCutShort(s)) return s;
+    MarkCutShort(&result, name, s);
+    return Status::OK();
   }
-  if (result.matches.size() > k) result.matches.resize(k);
-  FinishSearchStats(opts, op, wall_start,
-                    ResolvedFanOut(plan.indexes.size(), opts.parallelism),
-                    &result);
-  return result;
-}
 
-Result<SearchResult> Rottnest::ExecSubstring(const std::string& column,
-                                             const std::string& pattern,
-                                             size_t k,
-                                             const SearchOptions& opts) {
-  objectstore::IoTrace* trace = opts.trace;
-  auto wall_start = std::chrono::steady_clock::now();
-  Deadline deadline = ResolveSearchDeadline(opts, &store_->clock());
-  ScopedOpDeadline ambient(deadline);
-  internal::OpObs op(store_, cache_store_.get(), opts.obs,
-                     "search_substring");
-  Plan plan;
-  {
-    internal::OpPhase phase(&op, "plan");
-    ROTTNEST_RETURN_NOT_OK(
-        MakePlan(column, IndexType::kFm, opts.snapshot, trace, &plan));
+  /// The brute-scan fallback over the planned column with `pred`.
+  FileScan Scan(RowPredicate pred) {
+    return FileScan{db->read_store(), &db->pool_,      &db->io_,
+                    plan.column_index, &rf,           &dvs,
+                    deadline,          opts.parallelism, std::move(pred)};
   }
-  const ColumnSchema& col_schema =
-      table_->schema().columns[plan.column_index];
-  RangeFilter rf(read_store(), plan.snapshot, table_->schema(), opts.range);
-  ROTTNEST_RETURN_NOT_OK(rf.Validate());
 
-  SearchResult result;
-  RecordUncovered(opts, plan.unindexed.size(), &result);
-  if (index::HasReservedBytes(Slice(pattern))) plan.ScanEverything();
-  DvCache dvs(plan.snapshot);
-  MatchSet found(&result.matches);
-
-  // Fan out across the applicable FM-indexes (same shape as SearchUuid):
-  // per-task fetch slots, plan-order aggregation, per-entry degradation.
-  std::vector<std::vector<PageFetch>> per_index(plan.indexes.size());
-  std::vector<Status> statuses = FanOut(
-      &pool_, plan.indexes.size(), opts.parallelism, deadline, "index query",
-      trace, &op,
-      [&](size_t i) { return "index:" + plan.indexes[i].index_path; },
-      [&](size_t i, objectstore::IoTrace* t) -> Status {
-        const IndexEntry& entry = plan.indexes[i];
-        ROTTNEST_ASSIGN_OR_RETURN(
-            std::unique_ptr<ComponentFileReader> reader,
-            ComponentFileReader::Open(read_store(), entry.index_path, t));
-        std::vector<PageId> hits;
-        // Locate generously beyond k: occurrences cluster within pages.
-        ROTTNEST_RETURN_NOT_OK(index::FmLocatePages(
-            reader.get(), &io_, t, Slice(pattern), 4 * k + 16, &hits));
-        if (hits.empty()) return Status::OK();
-        PageTable pages;
-        ROTTNEST_RETURN_NOT_OK(
-            index::LoadPageTable(reader.get(), &io_, t, &pages));
-        for (PageId p : hits) {
-          if (!plan.snapshot.ContainsFile(pages.file_of(p))) continue;
-          per_index[i].push_back(pages.MakeFetch(p));
-        }
-        return Status::OK();
-      });
-  std::vector<PageFetch> fetches;
-  DegradedIndexes degraded;
-  size_t indexes_cut = 0;
-  for (size_t i = 0; i < plan.indexes.size(); ++i) {
-    if (statuses[i].ok()) {
-      degraded.RecordSuccess(plan.indexes[i]);
-      fetches.insert(fetches.end(), per_index[i].begin(),
-                     per_index[i].end());
-    } else if (IsCutShort(statuses[i])) {
-      // Deadline/breaker cuts degrade to a partial result, NOT to the
-      // brute-scan fallback a corrupt index gets.
-      MarkCutShort(&result, plan.indexes[i].index_path, statuses[i]);
-      ++indexes_cut;
-    } else {
-      degraded.RecordFailure(plan.indexes[i], statuses[i], &result);
-    }
-  }
-  result.indexes_queried =
-      plan.indexes.size() - result.indexes_degraded - indexes_cut;
-  result.indexes_quarantined =
-      HandleSearchFailures(opts, degraded.failures());
-
-  {
-    internal::OpPhase phase(&op, "probe");
-    auto probe = [&]() -> Status {
-      ROTTNEST_RETURN_NOT_OK(deadline.Check("probe"));
+  /// The candidate→verify page pipeline (paper §IV-B steps 1–3) of the
+  /// kinds that verify rows one by one. `locate` finds candidate pages in
+  /// each index (it is not called when the plan has none); the probe reads
+  /// them in place and keeps the live rows passing `match` and the range.
+  /// Files whose only index failed are then scanned in full, since a
+  /// fault-free query would have consulted their index regardless of k;
+  /// unindexed files are scanned one at a time while fewer than k rows
+  /// matched. The answer is cut to k.
+  Result<SearchResult> Pages(size_t k, const PageLocate& locate,
+                             const RowPredicate& match) {
+    std::vector<PageFetch> fetches = QueryIndexes<PageFetch>(
+        [&](ComponentFileReader* reader, objectstore::IoTrace* t,
+            std::vector<PageFetch>* out) -> Status {
+          std::vector<PageId> hits;
+          ROTTNEST_RETURN_NOT_OK(locate(reader, t, &hits));
+          if (hits.empty()) return Status::OK();
+          PageTable pages;
+          ROTTNEST_RETURN_NOT_OK(
+              index::LoadPageTable(reader, &db->io_, t, &pages));
+          for (PageId p : hits) {
+            // Filter postings pointing outside the snapshot (paper §IV-B
+            // step 2).
+            if (!plan.snapshot.ContainsFile(pages.file_of(p))) continue;
+            out->push_back(pages.MakeFetch(p));
+          }
+          return Status::OK();
+        });
+    MatchSet found(&result.matches);
+    ROTTNEST_RETURN_NOT_OK(Phase("probe", [&]() -> Status {
       std::vector<ColumnVector> probed;
-      ROTTNEST_RETURN_NOT_OK(ProbePages(read_store(), &io_, fetches,
-                                        col_schema, &dvs, trace, &probed));
+      ROTTNEST_RETURN_NOT_OK(ProbePages(db->read_store(), &db->io_, fetches,
+                                        column(), &dvs, trace, &probed));
       result.pages_probed = fetches.size();
+      float unused = 0;
       for (size_t i = 0; i < fetches.size(); ++i) {
         for (size_t r = 0; r < probed[i].size(); ++r) {
           std::string_view v = ValueAt(probed[i], r);
-          if (v.find(pattern) == std::string_view::npos) continue;
+          if (!match(v, &unused)) continue;
           uint64_t row = fetches[i].page.first_row + r;
           ROTTNEST_ASSIGN_OR_RETURN(bool deleted,
                                     dvs.IsDeleted(fetches[i].key, row));
@@ -1473,55 +1407,87 @@ Result<SearchResult> Rottnest::ExecSubstring(const std::string& column,
         }
       }
       return rf.FilterMatches(&result.matches, trace);
-    };
-    Status probe_status = probe();
-    if (IsCutShort(probe_status)) {
-      MarkCutShort(&result, "probe", probe_status);
-    } else {
-      ROTTNEST_RETURN_NOT_OK(probe_status);
-    }
-  }
-
-  {
-    internal::OpPhase phase(&op, "scan");
-    // Degraded fallback first: files whose only index coverage failed are
-    // scanned unconditionally (a fault-free query would have consulted
-    // their index regardless of k), all at once. Then the unindexed
-    // fallback, one file at a time while top-k is unsatisfied.
-    FileScan fs{read_store(), &pool_, &io_, plan.column_index, &rf, &dvs,
-                deadline, opts.parallelism, [&](std::string_view v, float*) {
-                  return v.find(pattern) != std::string_view::npos;
-                }};
-    auto scan = [&]() -> Status {
-      ROTTNEST_RETURN_NOT_OK(deadline.Check("scan"));
+    }));
+    FileScan fs = Scan(match);
+    ROTTNEST_RETURN_NOT_OK(Phase("scan", [&]() -> Status {
       ROTTNEST_RETURN_NOT_OK(fs.All(degraded.FilesToScan(plan.snapshot),
                                     trace, &found, &result.files_scanned));
       return fs.UntilK(plan.unindexed, k, trace, &found,
                        &result.files_scanned);
-    };
-    Status scan_status = scan();
-    if (IsCutShort(scan_status)) {
-      MarkCutShort(&result, "scan", scan_status);
-    } else {
-      ROTTNEST_RETURN_NOT_OK(scan_status);
-    }
+    }));
+    if (result.matches.size() > k) result.matches.resize(k);
+    return Finish();
   }
-  if (result.matches.size() > k) result.matches.resize(k);
-  FinishSearchStats(opts, op, wall_start,
-                    ResolvedFanOut(plan.indexes.size(), opts.parallelism),
-                    &result);
-  return result;
+
+  /// Substring search's page pipeline, also a regex's literal prefilter.
+  /// Occurrences cluster within pages, so the locate asks for 4k+16 of
+  /// them. A pattern the FM indexes cannot hold is answered by scanning.
+  Result<SearchResult> FmPages(const std::string& pattern, size_t k) {
+    if (index::HasReservedBytes(Slice(pattern))) plan.ScanEverything();
+    return Pages(
+        k,
+        [&](ComponentFileReader* reader, objectstore::IoTrace* t,
+            std::vector<PageId>* hits) {
+          return index::FmLocatePages(reader, &db->io_, t, Slice(pattern),
+                                      4 * k + 16, hits);
+        },
+        [&](std::string_view v, float*) {
+          return v.find(pattern) != std::string_view::npos;
+        });
+  }
+
+  /// Fills the result's stats and hands the result out.
+  SearchResult Finish() {
+    FinishSearchStats(opts, op, wall_start,
+                      ResolvedFanOut(plan.indexes.size(), opts.parallelism),
+                      &result);
+    return std::move(result);
+  }
+
+  Rottnest* const db;
+  const SearchOptions& opts;
+  objectstore::IoTrace* const trace;
+  const std::chrono::steady_clock::time_point wall_start =
+      std::chrono::steady_clock::now();
+  const Deadline deadline;
+  ScopedOpDeadline ambient;
+  internal::OpObs op;
+  Plan plan;
+  RangeFilter rf;
+  DvCache dvs;
+  DegradedIndexes degraded;
+  SearchResult result;
+};
+
+Result<SearchResult> Rottnest::ExecUuid(const std::string& column,
+                                        Slice value, size_t k,
+                                        const SearchOptions& opts) {
+  ExecContext ctx(this, "search_uuid", opts);
+  ROTTNEST_RETURN_NOT_OK(ctx.Prepare(column, IndexType::kTrie));
+  const index::Key128 key = index::KeyFromValue(value);
+  return ctx.Pages(
+      k,
+      [&](ComponentFileReader* reader, objectstore::IoTrace* t,
+          std::vector<PageId>* hits) {
+        return index::TrieQuery(reader, &io_, t, key, hits);
+      },
+      [&](std::string_view v, float*) { return Slice(v) == value; });
+}
+
+Result<SearchResult> Rottnest::ExecSubstring(const std::string& column,
+                                             const std::string& pattern,
+                                             size_t k,
+                                             const SearchOptions& opts) {
+  ExecContext ctx(this, "search_substring", opts);
+  ROTTNEST_RETURN_NOT_OK(ctx.Prepare(column, IndexType::kFm));
+  return ctx.FmPages(pattern, k);
 }
 
 Result<SearchResult> Rottnest::ExecVector(const std::string& column,
                                           const float* query, uint32_t dim,
                                           size_t k,
                                           const SearchOptions& opts) {
-  objectstore::IoTrace* trace = opts.trace;
-  auto wall_start = std::chrono::steady_clock::now();
-  Deadline deadline = ResolveSearchDeadline(opts, &store_->clock());
-  ScopedOpDeadline ambient(deadline);
-  internal::OpObs op(store_, cache_store_.get(), opts.obs, "search_vector");
+  ExecContext ctx(this, "search_vector", opts);
   // Per-query knobs default from the client's IvfPqOptions (v2 API).
   const uint32_t nprobe = opts.params.vector.nprobe != 0
                               ? opts.params.vector.nprobe
@@ -1529,27 +1495,13 @@ Result<SearchResult> Rottnest::ExecVector(const std::string& column,
   const uint32_t refine = opts.params.vector.refine != 0
                               ? opts.params.vector.refine
                               : options_.ivfpq.default_refine;
-  Plan plan;
-  {
-    internal::OpPhase phase(&op, "plan");
-    ROTTNEST_RETURN_NOT_OK(
-        MakePlan(column, IndexType::kIvfPq, opts.snapshot, trace, &plan));
-  }
-  const ColumnSchema& col_schema =
-      table_->schema().columns[plan.column_index];
-  if (col_schema.fixed_len != dim * 4) {
+  ROTTNEST_RETURN_NOT_OK(ctx.Prepare(column, IndexType::kIvfPq));
+  if (ctx.column().fixed_len != dim * 4) {
     return Status::InvalidArgument("query dim does not match column");
   }
-  RangeFilter rf(read_store(), plan.snapshot, table_->schema(), opts.range);
-  ROTTNEST_RETURN_NOT_OK(rf.Validate());
 
-  SearchResult result;
-  RecordUncovered(opts, plan.unindexed.size(), &result);
-  DvCache dvs(plan.snapshot);
-
-  // Gather approximate candidates across all index files — one fan-out
-  // task per index, aggregated in plan order so the global refine cut is
-  // deterministic.
+  // Gather approximate candidates across all index files, aggregated in
+  // plan order so the global refine cut is deterministic.
   struct Cand {
     std::string file;
     PageId page_in_table;
@@ -1557,51 +1509,23 @@ Result<SearchResult> Rottnest::ExecVector(const std::string& column,
     uint32_t row_in_page;
     float approx;
   };
-  std::vector<std::vector<Cand>> per_index(plan.indexes.size());
-  std::vector<Status> statuses = FanOut(
-      &pool_, plan.indexes.size(), opts.parallelism, deadline, "index query",
-      trace, &op,
-      [&](size_t i) { return "index:" + plan.indexes[i].index_path; },
-      [&](size_t i, objectstore::IoTrace* t) -> Status {
-        const IndexEntry& entry = plan.indexes[i];
-        ROTTNEST_ASSIGN_OR_RETURN(
-            std::unique_ptr<ComponentFileReader> reader,
-            ComponentFileReader::Open(read_store(), entry.index_path, t));
+  std::vector<Cand> candidates = ctx.QueryIndexes<Cand>(
+      [&](ComponentFileReader* reader, objectstore::IoTrace* t,
+          std::vector<Cand>* out) -> Status {
         std::vector<index::VectorCandidate> hits;
-        ROTTNEST_RETURN_NOT_OK(index::IvfPqSearch(reader.get(), &io_, t,
-                                                  query, dim, nprobe, refine,
-                                                  &hits));
+        ROTTNEST_RETURN_NOT_OK(index::IvfPqSearch(reader, &io_, t, query, dim,
+                                                  nprobe, refine, &hits));
         if (hits.empty()) return Status::OK();
         PageTable pages;
-        ROTTNEST_RETURN_NOT_OK(
-            index::LoadPageTable(reader.get(), &io_, t, &pages));
+        ROTTNEST_RETURN_NOT_OK(index::LoadPageTable(reader, &io_, t, &pages));
         for (const auto& h : hits) {
-          if (!plan.snapshot.ContainsFile(pages.file_of(h.page))) continue;
-          per_index[i].push_back({pages.file_of(h.page), h.page,
-                                  pages.MakeFetch(h.page), h.row_in_page,
-                                  h.approx_dist});
+          if (!ctx.plan.snapshot.ContainsFile(pages.file_of(h.page))) continue;
+          out->push_back({pages.file_of(h.page), h.page,
+                          pages.MakeFetch(h.page), h.row_in_page,
+                          h.approx_dist});
         }
         return Status::OK();
       });
-  std::vector<Cand> candidates;
-  DegradedIndexes degraded;
-  size_t indexes_cut = 0;
-  for (size_t i = 0; i < plan.indexes.size(); ++i) {
-    if (statuses[i].ok()) {
-      degraded.RecordSuccess(plan.indexes[i]);
-      candidates.insert(candidates.end(), per_index[i].begin(),
-                        per_index[i].end());
-    } else if (IsCutShort(statuses[i])) {
-      MarkCutShort(&result, plan.indexes[i].index_path, statuses[i]);
-      ++indexes_cut;
-    } else {
-      degraded.RecordFailure(plan.indexes[i], statuses[i], &result);
-    }
-  }
-  result.indexes_queried =
-      plan.indexes.size() - result.indexes_degraded - indexes_cut;
-  result.indexes_quarantined =
-      HandleSearchFailures(opts, degraded.failures());
 
   // Keep the globally best `refine` candidates for exact reranking.
   std::sort(candidates.begin(), candidates.end(),
@@ -1610,83 +1534,58 @@ Result<SearchResult> Rottnest::ExecVector(const std::string& column,
 
   std::vector<RowMatch> matches;
   MatchSet found(&matches);
-  {
-    internal::OpPhase phase(&op, "probe");
-    auto probe = [&]() -> Status {
-      ROTTNEST_RETURN_NOT_OK(deadline.Check("probe"));
-      // Fetch candidate pages (deduplicated) in one round.
-      std::map<std::pair<std::string, uint64_t>, size_t> fetch_index;
-      std::vector<PageFetch> fetches;
-      for (const Cand& c : candidates) {
-        auto key = std::make_pair(c.fetch.key, c.fetch.page.offset);
-        if (fetch_index.emplace(key, fetches.size()).second) {
-          fetches.push_back(c.fetch);
-        }
+  ROTTNEST_RETURN_NOT_OK(ctx.Phase("probe", [&]() -> Status {
+    // Fetch candidate pages (deduplicated) in one round.
+    std::map<std::pair<std::string, uint64_t>, size_t> fetch_index;
+    std::vector<PageFetch> fetches;
+    for (const Cand& c : candidates) {
+      auto key = std::make_pair(c.fetch.key, c.fetch.page.offset);
+      if (fetch_index.emplace(key, fetches.size()).second) {
+        fetches.push_back(c.fetch);
       }
-      std::vector<ColumnVector> probed;
-      ROTTNEST_RETURN_NOT_OK(ProbePages(read_store(), &io_, fetches,
-                                        col_schema, &dvs, trace, &probed));
-      result.pages_probed = fetches.size();
-
-      for (const Cand& c : candidates) {
-        size_t fi = fetch_index.at({c.fetch.key, c.fetch.page.offset});
-        if (c.row_in_page >= probed[fi].size()) continue;
-        Slice raw = probed[fi].fixed().at(c.row_in_page);
-        float dist =
-            index::SquaredL2(query, index::VectorFromValue(raw), dim);
-        uint64_t row = c.fetch.page.first_row + c.row_in_page;
-        ROTTNEST_ASSIGN_OR_RETURN(bool deleted, dvs.IsDeleted(c.file, row));
-        if (!deleted) found.Add({c.file, row, raw.ToString(), dist});
-      }
-      return rf.FilterMatches(&matches, trace);
-    };
-    Status probe_status = probe();
-    if (IsCutShort(probe_status)) {
-      MarkCutShort(&result, "probe", probe_status);
-    } else {
-      ROTTNEST_RETURN_NOT_OK(probe_status);
     }
-  }
+    std::vector<ColumnVector> probed;
+    ROTTNEST_RETURN_NOT_OK(ProbePages(read_store(), &io_, fetches,
+                                      ctx.column(), &ctx.dvs, ctx.trace,
+                                      &probed));
+    ctx.result.pages_probed = fetches.size();
 
-  {
-    internal::OpPhase phase(&op, "scan");
-    // Scoring queries must rank ALL data: unindexed files are always
-    // scanned exhaustively (paper §IV-B step 3), and so are files whose
-    // only index coverage degraded — all of them at once.
-    FileScan fs{read_store(), &pool_, &io_, plan.column_index, &rf, &dvs,
-                deadline, opts.parallelism,
-                [&](std::string_view v, float* dist) {
-                  *dist = index::SquaredL2(
-                      query, reinterpret_cast<const float*>(v.data()), dim);
-                  return true;
-                }};
-    auto scan = [&]() -> Status {
-      ROTTNEST_RETURN_NOT_OK(deadline.Check("scan"));
-      std::vector<const DataFile*> to_scan;
-      for (const DataFile& f : plan.unindexed) to_scan.push_back(&f);
-      for (const DataFile* f : degraded.FilesToScan(plan.snapshot)) {
-        to_scan.push_back(f);
-      }
-      return fs.All(to_scan, trace, &found, &result.files_scanned);
-    };
-    Status scan_status = scan();
-    if (IsCutShort(scan_status)) {
-      MarkCutShort(&result, "scan", scan_status);
-    } else {
-      ROTTNEST_RETURN_NOT_OK(scan_status);
+    for (const Cand& c : candidates) {
+      size_t fi = fetch_index.at({c.fetch.key, c.fetch.page.offset});
+      if (c.row_in_page >= probed[fi].size()) continue;
+      Slice raw = probed[fi].fixed().at(c.row_in_page);
+      float dist = index::SquaredL2(query, index::VectorFromValue(raw), dim);
+      uint64_t row = c.fetch.page.first_row + c.row_in_page;
+      ROTTNEST_ASSIGN_OR_RETURN(bool deleted, ctx.dvs.IsDeleted(c.file, row));
+      if (!deleted) found.Add({c.file, row, raw.ToString(), dist});
     }
-  }
+    return ctx.rf.FilterMatches(&matches, ctx.trace);
+  }));
+
+  // Scoring queries must rank ALL data: unindexed files are always scanned
+  // exhaustively (paper §IV-B step 3), and so are files whose only index
+  // coverage degraded — all of them at once.
+  FileScan fs = ctx.Scan([&](std::string_view v, float* dist) {
+    *dist = index::SquaredL2(query, reinterpret_cast<const float*>(v.data()),
+                             dim);
+    return true;
+  });
+  ROTTNEST_RETURN_NOT_OK(ctx.Phase("scan", [&]() -> Status {
+    std::vector<const DataFile*> to_scan;
+    for (const DataFile& f : ctx.plan.unindexed) to_scan.push_back(&f);
+    for (const DataFile* f : ctx.degraded.FilesToScan(ctx.plan.snapshot)) {
+      to_scan.push_back(f);
+    }
+    return fs.All(to_scan, ctx.trace, &found, &ctx.result.files_scanned);
+  }));
 
   std::sort(matches.begin(), matches.end(),
             [](const RowMatch& a, const RowMatch& b) {
               return a.distance < b.distance;
             });
   if (matches.size() > k) matches.resize(k);
-  result.matches = std::move(matches);
-  FinishSearchStats(opts, op, wall_start,
-                    ResolvedFanOut(plan.indexes.size(), opts.parallelism),
-                    &result);
-  return result;
+  ctx.result.matches = std::move(matches);
+  return ctx.Finish();
 }
 
 Result<SearchResult> Rottnest::ExecRegex(const std::string& column,
@@ -1702,71 +1601,28 @@ Result<SearchResult> Rottnest::ExecRegex(const std::string& column,
     return Status::InvalidArgument(std::string("bad regex: ") + e.what());
   }
 
-  std::string literal = LongestRegexLiteral(pattern);
-  if (literal.size() >= 3) {
-    // Locate the guaranteed literal through the FM-index, then verify the
-    // full regex in situ on every candidate (the literal-prefilter strategy
-    // of production log search).
-    SearchOptions inner = opts;
-    ROTTNEST_ASSIGN_OR_RETURN(
-        SearchResult candidates,
-        ExecSubstring(column, literal, std::max(k * 8, k + 32), inner));
-    SearchResult result;
-    result.indexes_queried = candidates.indexes_queried;
-    result.files_scanned = candidates.files_scanned;
-    result.pages_probed = candidates.pages_probed;
-    result.indexes_degraded = candidates.indexes_degraded;
-    result.degraded_indexes = std::move(candidates.degraded_indexes);
-    result.stats = candidates.stats;
-    result.indexes_quarantined = candidates.indexes_quarantined;
-    result.partial = candidates.partial;
-    result.cut_short = std::move(candidates.cut_short);
-    result.partial_reason = std::move(candidates.partial_reason);
-    for (RowMatch& m : candidates.matches) {
-      if (std::regex_search(m.value, re)) {
-        result.matches.push_back(std::move(m));
-        if (result.matches.size() >= k) break;
-      }
-    }
-    return result;
+  ExecContext ctx(this, "search_regex", opts);
+  ROTTNEST_RETURN_NOT_OK(ctx.Prepare(column, IndexType::kFm));
+  const std::string literal = LongestRegexLiteral(pattern);
+  if (literal.size() < 3) {
+    // No usable literal: the exact scan of every file in the snapshot.
+    ctx.plan.ScanEverything();
+    return ctx.Pages(k, nullptr, [&](std::string_view v, float*) {
+      return std::regex_search(v.begin(), v.end(), re);
+    });
   }
-
-  // No usable literal: brute-force scan every file in the snapshot.
-  auto wall_start = std::chrono::steady_clock::now();
-  Deadline deadline = ResolveSearchDeadline(opts, &store_->clock());
-  ScopedOpDeadline ambient(deadline);
-  internal::OpObs op(store_, cache_store_.get(), opts.obs, "search_regex");
-  Plan plan;
-  {
-    internal::OpPhase phase(&op, "plan");
-    ROTTNEST_RETURN_NOT_OK(
-        MakePlan(column, IndexType::kFm, opts.snapshot, opts.trace, &plan));
+  // Locate the guaranteed literal through the FM-index, widened past k
+  // since not every row holding it matches, then verify the full regex in
+  // situ on every candidate (the literal-prefilter strategy of production
+  // log search).
+  ROTTNEST_ASSIGN_OR_RETURN(SearchResult result,
+                            ctx.FmPages(literal, std::max(k * 8, k + 32)));
+  std::vector<RowMatch> candidates = std::move(result.matches);
+  result.matches.clear();
+  for (RowMatch& m : candidates) {
+    if (result.matches.size() >= k) break;
+    if (std::regex_search(m.value, re)) result.matches.push_back(std::move(m));
   }
-  RangeFilter rf(read_store(), plan.snapshot, table_->schema(), opts.range);
-  ROTTNEST_RETURN_NOT_OK(rf.Validate());
-  DvCache dvs(plan.snapshot);
-  SearchResult result;
-  RecordUncovered(opts, plan.unindexed.size(), &result);
-  {
-    internal::OpPhase phase(&op, "scan");
-    MatchSet found(&result.matches);
-    FileScan fs{read_store(), &pool_, &io_, plan.column_index, &rf, &dvs,
-                deadline, opts.parallelism,
-                [&](std::string_view v, float*) {
-                  return std::regex_search(v.begin(), v.end(), re);
-                }};
-    auto scan = [&]() -> Status {
-      return fs.UntilK(plan.snapshot.files, k, opts.trace, &found,
-                       &result.files_scanned);
-    };
-    Status scan_status = scan();
-    if (IsCutShort(scan_status)) {
-      MarkCutShort(&result, "scan", scan_status);
-    } else {
-      ROTTNEST_RETURN_NOT_OK(scan_status);
-    }
-  }
-  FinishSearchStats(opts, op, wall_start, 1, &result);
   return result;
 }
 
@@ -1797,138 +1653,21 @@ Result<SearchResult> Rottnest::ExecKeyword(const std::string& column,
     return Status::InvalidArgument("keyword query exceeds max_terms");
   }
 
-  objectstore::IoTrace* trace = opts.trace;
-  auto wall_start = std::chrono::steady_clock::now();
-  Deadline deadline = ResolveSearchDeadline(opts, &store_->clock());
-  ScopedOpDeadline ambient(deadline);
-  internal::OpObs op(store_, cache_store_.get(), opts.obs, "search_keyword");
-  Plan plan;
-  {
-    internal::OpPhase phase(&op, "plan");
-    ROTTNEST_RETURN_NOT_OK(
-        MakePlan(column, IndexType::kKeyword, opts.snapshot, trace, &plan));
-  }
-  const ColumnSchema& col_schema =
-      table_->schema().columns[plan.column_index];
-  RangeFilter rf(read_store(), plan.snapshot, table_->schema(), opts.range);
-  ROTTNEST_RETURN_NOT_OK(rf.Validate());
-
+  ExecContext ctx(this, "search_keyword", opts);
+  ROTTNEST_RETURN_NOT_OK(ctx.Prepare(column, IndexType::kKeyword));
   // The in-situ verification predicate: a row matches when its tokens
   // contain every (AND) / any (OR) query term. Page hits are a superset
   // signal — a page holds many rows — so verification is what makes the
   // matches exact.
   const index::KeywordRowMatcher row_matcher(norm, require_all);
-
-  SearchResult result;
-  RecordUncovered(opts, plan.unindexed.size(), &result);
-  DvCache dvs(plan.snapshot);
-  MatchSet found(&result.matches);
-
-  // Fan out across the applicable keyword indexes (same shape as
-  // SearchUuid): per-task fetch slots, plan-order aggregation, per-entry
-  // degradation.
-  std::vector<std::vector<PageFetch>> per_index(plan.indexes.size());
-  std::vector<Status> statuses = FanOut(
-      &pool_, plan.indexes.size(), opts.parallelism, deadline, "index query",
-      trace, &op,
-      [&](size_t i) { return "index:" + plan.indexes[i].index_path; },
-      [&](size_t i, objectstore::IoTrace* t) -> Status {
-        const IndexEntry& entry = plan.indexes[i];
-        ROTTNEST_ASSIGN_OR_RETURN(
-            std::unique_ptr<ComponentFileReader> reader,
-            ComponentFileReader::Open(read_store(), entry.index_path, t));
-        std::vector<PageId> hits;
-        ROTTNEST_RETURN_NOT_OK(index::KeywordQueryMany(
-            reader.get(), &io_, t, norm, require_all, &hits));
-        if (hits.empty()) return Status::OK();
-        PageTable pages;
-        ROTTNEST_RETURN_NOT_OK(
-            index::LoadPageTable(reader.get(), &io_, t, &pages));
-        for (PageId p : hits) {
-          if (!plan.snapshot.ContainsFile(pages.file_of(p))) continue;
-          per_index[i].push_back(pages.MakeFetch(p));
-        }
-        return Status::OK();
-      });
-  std::vector<PageFetch> fetches;
-  DegradedIndexes degraded;
-  size_t indexes_cut = 0;
-  for (size_t i = 0; i < plan.indexes.size(); ++i) {
-    if (statuses[i].ok()) {
-      degraded.RecordSuccess(plan.indexes[i]);
-      fetches.insert(fetches.end(), per_index[i].begin(),
-                     per_index[i].end());
-    } else if (IsCutShort(statuses[i])) {
-      // Deadline/breaker cuts degrade to a partial result, NOT to the
-      // brute-scan fallback a corrupt index gets.
-      MarkCutShort(&result, plan.indexes[i].index_path, statuses[i]);
-      ++indexes_cut;
-    } else {
-      degraded.RecordFailure(plan.indexes[i], statuses[i], &result);
-    }
-  }
-  result.indexes_queried =
-      plan.indexes.size() - result.indexes_degraded - indexes_cut;
-  result.indexes_quarantined =
-      HandleSearchFailures(opts, degraded.failures());
-
-  {
-    internal::OpPhase phase(&op, "probe");
-    auto probe = [&]() -> Status {
-      ROTTNEST_RETURN_NOT_OK(deadline.Check("probe"));
-      std::vector<ColumnVector> probed;
-      ROTTNEST_RETURN_NOT_OK(ProbePages(read_store(), &io_, fetches,
-                                        col_schema, &dvs, trace, &probed));
-      result.pages_probed = fetches.size();
-      for (size_t i = 0; i < fetches.size(); ++i) {
-        for (size_t r = 0; r < probed[i].size(); ++r) {
-          std::string_view v = ValueAt(probed[i], r);
-          if (!row_matcher.Matches(v)) continue;
-          uint64_t row = fetches[i].page.first_row + r;
-          ROTTNEST_ASSIGN_OR_RETURN(bool deleted,
-                                    dvs.IsDeleted(fetches[i].key, row));
-          if (!deleted) found.Add({fetches[i].key, row, std::string(v), 0});
-        }
-      }
-      return rf.FilterMatches(&result.matches, trace);
-    };
-    Status probe_status = probe();
-    if (IsCutShort(probe_status)) {
-      MarkCutShort(&result, "probe", probe_status);
-    } else {
-      ROTTNEST_RETURN_NOT_OK(probe_status);
-    }
-  }
-
-  {
-    internal::OpPhase phase(&op, "scan");
-    // Degraded fallback first: files whose only index coverage failed are
-    // scanned unconditionally (a fault-free query would have consulted
-    // their index regardless of k), all at once. Then the unindexed
-    // fallback, one file at a time while top-k is unsatisfied.
-    FileScan fs{read_store(), &pool_, &io_, plan.column_index, &rf, &dvs,
-                deadline, opts.parallelism, [&](std::string_view v, float*) {
-                  return row_matcher.Matches(v);
-                }};
-    auto scan = [&]() -> Status {
-      ROTTNEST_RETURN_NOT_OK(deadline.Check("scan"));
-      ROTTNEST_RETURN_NOT_OK(fs.All(degraded.FilesToScan(plan.snapshot),
-                                    trace, &found, &result.files_scanned));
-      return fs.UntilK(plan.unindexed, k, trace, &found,
-                       &result.files_scanned);
-    };
-    Status scan_status = scan();
-    if (IsCutShort(scan_status)) {
-      MarkCutShort(&result, "scan", scan_status);
-    } else {
-      ROTTNEST_RETURN_NOT_OK(scan_status);
-    }
-  }
-  if (result.matches.size() > k) result.matches.resize(k);
-  FinishSearchStats(opts, op, wall_start,
-                    ResolvedFanOut(plan.indexes.size(), opts.parallelism),
-                    &result);
-  return result;
+  return ctx.Pages(
+      k,
+      [&](ComponentFileReader* reader, objectstore::IoTrace* t,
+          std::vector<PageId>* hits) {
+        return index::KeywordQueryMany(reader, &io_, t, norm, require_all,
+                                       hits);
+      },
+      [&](std::string_view v, float*) { return row_matcher.Matches(v); });
 }
 
 Result<uint64_t> Rottnest::ExecCount(const std::string& column,

@@ -521,7 +521,11 @@ class Rottnest {
   void InvalidateCachedIndex(const std::string& key);
 
   // The per-kind implementations Execute dispatches to (the public
-  // Search*/Count* methods are Query-building wrappers over Execute).
+  // Search*/Count* methods are Query-building wrappers over Execute). Every
+  // search kind runs on one ExecContext: shared setup, index fan-out and
+  // phases; UUID, substring, keyword and regex share its page pipeline and
+  // supply only their index lookup and row predicate (rottnest.cc).
+  struct ExecContext;
   Result<SearchResult> ExecUuid(const std::string& column, Slice value,
                                 size_t k, const SearchOptions& opts);
   Result<SearchResult> ExecSubstring(const std::string& column,

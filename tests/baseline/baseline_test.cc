@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "baseline/brute_force.h"
-#include "baseline/dedicated_service.h"
 #include "workload/generators.h"
 
 namespace rottnest::baseline {
@@ -44,19 +43,25 @@ TEST_F(BaselineTest, BruteForceUuidFindsExactRow) {
   EXPECT_GT(result.value().projected_latency_s, 0.0);
 }
 
-TEST_F(BaselineTest, BruteForceSubstringAgreesWithDedicated) {
+// The scan finds exactly the rows the dataset generator wrote that hold
+// the pattern: BuildDataset draws one document per row, in row order, from
+// a TextGenerator seeded with the spec's seed.
+TEST_F(BaselineTest, BruteForceSubstringMatchesGeneratedRows) {
+  TextGenerator sampler(spec_.seed);
+  std::string pattern = sampler.SamplePattern(1);
   TextGenerator text(spec_.seed);
-  std::string pattern = text.SamplePattern(1);
+  size_t expected = 0;
+  for (uint64_t row = 0; row < spec_.total_rows; ++row) {
+    if (text.Document(spec_.doc_chars).find(pattern) != std::string::npos) {
+      ++expected;
+    }
+  }
+  ASSERT_GT(expected, 0u);
 
   BruteForceEngine engine(&store_, table_.get(), BruteForceOptions{});
   auto bf = engine.SearchSubstring("body", pattern, 1000000);
-  ASSERT_TRUE(bf.ok());
-
-  auto svc = DedicatedService::Ingest(&store_, table_.get(), "uuid", "body",
-                                      "vec", spec_.vector_dim)
-                 .MoveValue();
-  auto ded = svc->SearchSubstring(pattern, 1000000);
-  EXPECT_EQ(bf.value().matches.size(), ded.size());
+  ASSERT_TRUE(bf.ok()) << bf.status().ToString();
+  EXPECT_EQ(bf.value().matches.size(), expected);
 }
 
 TEST_F(BaselineTest, BruteForceVectorIsExactKnn) {
@@ -100,45 +105,6 @@ TEST_F(BaselineTest, LatencyProjectionImprovesThenSaturates) {
   EXPECT_GT(l1 / l4, 1.5);           // Early scaling is strong.
   EXPECT_LT(l64 / l128, 1.35);       // Late scaling has collapsed.
   EXPECT_LT(l64, l4);
-}
-
-TEST_F(BaselineTest, DedicatedServiceUuidLookup) {
-  auto svc = DedicatedService::Ingest(&store_, table_.get(), "uuid", "body",
-                                      "vec", spec_.vector_dim)
-                 .MoveValue();
-  EXPECT_EQ(svc->num_rows(), 2000u);
-  EXPECT_GT(svc->memory_bytes(), 0u);
-  UuidGenerator ids(spec_.seed, spec_.uuid_bytes);
-  auto matches = svc->SearchUuid(Slice(ids.IdFor(1234)), 5);
-  ASSERT_EQ(matches.size(), 1u);
-}
-
-TEST_F(BaselineTest, DedicatedServiceRespectsDeletionVectors) {
-  UuidGenerator ids(spec_.seed, spec_.uuid_bytes);
-  std::string victim = ids.IdFor(50);
-  ASSERT_TRUE(table_
-                  ->DeleteWhere("uuid",
-                                [&](const format::ColumnVector& col,
-                                    size_t r) {
-                                  return col.fixed().at(r) == Slice(victim);
-                                })
-                  .ok());
-  auto svc = DedicatedService::Ingest(&store_, table_.get(), "uuid", "body",
-                                      "vec", spec_.vector_dim)
-                 .MoveValue();
-  EXPECT_TRUE(svc->SearchUuid(Slice(victim), 5).empty());
-  EXPECT_EQ(svc->num_rows(), 1999u);
-}
-
-TEST_F(BaselineTest, DedicatedVectorSearchExact) {
-  VectorGenerator vecs(spec_.seed, spec_.vector_dim);
-  auto svc = DedicatedService::Ingest(&store_, table_.get(), "uuid", "body",
-                                      "vec", spec_.vector_dim)
-                 .MoveValue();
-  std::vector<float> q = vecs.VectorFor(123);
-  auto matches = svc->SearchVector(q.data(), spec_.vector_dim, 3);
-  ASSERT_EQ(matches.size(), 3u);
-  EXPECT_NEAR(matches[0].distance, 0.0, 1e-3);
 }
 
 TEST(WorkloadTest, GeneratorsAreDeterministic) {

@@ -236,6 +236,14 @@ TEST(ObsIntegrationTest, ChaosSearchReconcilesSpansAndMetrics) {
   EXPECT_EQ(registry.GetCounter("fault.store.transient_injected")->value(),
             faulty.fault_stats().transient_injected.load());
   EXPECT_EQ(registry.GetCounter("op.search_substring.count")->value(), 1u);
+
+  // A regex whose prefilter literal the FM index locates is still a regex
+  // search: it counts under its own op, not under substring search.
+  auto re = client.SearchRegex("body", "token3\\b", 10, opts);
+  ASSERT_TRUE(re.ok()) << re.status().ToString();
+  ASSERT_FALSE(re.value().matches.empty());
+  EXPECT_EQ(registry.GetCounter("op.search_regex.count")->value(), 1u);
+  EXPECT_EQ(registry.GetCounter("op.search_substring.count")->value(), 1u);
 }
 
 // ---------------------------------------------------------------------------
