@@ -125,7 +125,7 @@ class Decoder {
 
   /// Varint length followed by that many bytes.
   Status GetLengthPrefixed(Slice* out) {
-    uint64_t len;
+    uint64_t len = 0;
     ROTTNEST_RETURN_NOT_OK(GetVarint64(&len));
     return GetBytes(len, out);
   }

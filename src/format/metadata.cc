@@ -36,7 +36,7 @@ void FileMeta::Serialize(Buffer* out) const {
 
 Status FileMeta::Deserialize(Slice input, FileMeta* out) {
   Decoder dec(input);
-  uint64_t num_cols;
+  uint64_t num_cols = 0;
   ROTTNEST_RETURN_NOT_OK(dec.GetVarint64(&num_cols));
   out->schema.columns.clear();
   for (uint64_t i = 0; i < num_cols; ++i) {
@@ -53,14 +53,14 @@ Status FileMeta::Deserialize(Slice input, FileMeta* out) {
     out->schema.columns.push_back(std::move(col));
   }
   ROTTNEST_RETURN_NOT_OK(dec.GetVarint64(&out->num_rows));
-  uint64_t num_groups;
+  uint64_t num_groups = 0;
   ROTTNEST_RETURN_NOT_OK(dec.GetVarint64(&num_groups));
   out->row_groups.clear();
   for (uint64_t g = 0; g < num_groups; ++g) {
     RowGroupMeta rg;
     ROTTNEST_RETURN_NOT_OK(dec.GetVarint64(&rg.num_rows));
     ROTTNEST_RETURN_NOT_OK(dec.GetVarint64(&rg.first_row));
-    uint64_t cols;
+    uint64_t cols = 0;
     ROTTNEST_RETURN_NOT_OK(dec.GetVarint64(&cols));
     if (cols != num_cols) return Status::Corruption("row group column count");
     for (uint64_t c = 0; c < cols; ++c) {
@@ -74,7 +74,7 @@ Status FileMeta::Deserialize(Slice input, FileMeta* out) {
         ROTTNEST_RETURN_NOT_OK(dec.GetVarint64Signed(&cc.min));
         ROTTNEST_RETURN_NOT_OK(dec.GetVarint64Signed(&cc.max));
       }
-      uint64_t num_pages;
+      uint64_t num_pages = 0;
       ROTTNEST_RETURN_NOT_OK(dec.GetVarint64(&num_pages));
       for (uint64_t p = 0; p < num_pages; ++p) {
         PageMeta pm;

@@ -134,7 +134,7 @@ size_t EncodePage(const ColumnVector& column, size_t begin, size_t end,
 Status DecodePage(Slice page_bytes, const ColumnSchema& col,
                   ColumnVector* out, size_t* consumed) {
   Decoder dec(page_bytes);
-  uint64_t num_values, uncompressed_size, compressed_size;
+  uint64_t num_values = 0, uncompressed_size = 0, compressed_size = 0;
   ROTTNEST_RETURN_NOT_OK(dec.GetVarint64(&num_values));
   ROTTNEST_RETURN_NOT_OK(dec.GetVarint64(&uncompressed_size));
   ROTTNEST_RETURN_NOT_OK(dec.GetVarint64(&compressed_size));

@@ -83,7 +83,7 @@ Status PageTable::Deserialize(Decoder* dec, PageTable* out) {
     ROTTNEST_RETURN_NOT_OK(dec->GetVarint64(&first));
     out->file_first_page_.push_back(static_cast<PageId>(first));
   }
-  uint64_t num_entries;
+  uint64_t num_entries = 0;
   ROTTNEST_RETURN_NOT_OK(dec->GetVarint64(&num_entries));
   out->entries_.reserve(num_entries);
   for (uint64_t i = 0; i < num_entries; ++i) {

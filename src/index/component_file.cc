@@ -180,7 +180,7 @@ Result<std::unique_ptr<ComponentFileReader>> ComponentFileReader::Open(
   }
   reader->type_ = static_cast<IndexType>(type_byte[0]);
   ROTTNEST_RETURN_NOT_OK(dec.GetLengthPrefixedString(&reader->column_));
-  uint64_t num_entries;
+  uint64_t num_entries = 0;
   ROTTNEST_RETURN_NOT_OK(dec.GetVarint64(&num_entries));
   // Component payloads end where the directory starts.
   const uint64_t payload_end = meta.size - 16 - dir_len;
@@ -342,6 +342,15 @@ Status ComponentFileReader::VerifyComponents(
     if (!s.ok()) damage->push_back({name, std::move(s)});
   }
   return Status::OK();
+}
+
+Status LoadPageTable(ComponentFileReader* reader, ThreadPool* pool,
+                     objectstore::IoTrace* trace, format::PageTable* out) {
+  Slice buf;
+  ROTTNEST_RETURN_NOT_OK(
+      reader->ReadComponent(kPageTableComponent, pool, trace, &buf));
+  Decoder dec{buf};
+  return format::PageTable::Deserialize(&dec, out);
 }
 
 }  // namespace rottnest::index

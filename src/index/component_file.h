@@ -36,6 +36,7 @@
 #include "common/coding.h"
 #include "common/thread_pool.h"
 #include "compress/lz.h"
+#include "format/page_table.h"
 #include "objectstore/io_trace.h"
 #include "objectstore/object_store.h"
 
@@ -204,6 +205,14 @@ class ComponentFileReader {
   /// Decoded payloads. Map nodes never move, so views survive inserts.
   std::map<std::string, Buffer> decoded_;
 };
+
+/// Every index kind embeds the page table its postings refer to under this
+/// component name, so searches resolve page ids without other metadata.
+inline constexpr const char* kPageTableComponent = "pagetable";
+
+/// Loads the embedded page table.
+Status LoadPageTable(ComponentFileReader* reader, ThreadPool* pool,
+                     objectstore::IoTrace* trace, format::PageTable* out);
 
 }  // namespace rottnest::index
 

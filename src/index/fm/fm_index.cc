@@ -18,7 +18,6 @@ constexpr uint8_t kReplacement = 0x02;
 
 constexpr const char* kMetaComponent = "meta";
 constexpr const char* kBoundsComponent = "bounds";
-constexpr const char* kPageTableComponent = "pagetable";
 constexpr size_t kSsaSlotsPerBlock = 8192;
 
 std::string BwtName(uint64_t b) { return "bwt." + std::to_string(b); }
@@ -466,12 +465,7 @@ Status LoadContent(ComponentFileReader* reader, ThreadPool* pool,
   out->string_starts = meta->string_starts;
   ROTTNEST_RETURN_NOT_OK(view.LoadBounds(&out->page_offsets));
 
-  Slice table_buf;
-  ROTTNEST_RETURN_NOT_OK(
-      reader->ReadComponent(kPageTableComponent, pool, trace, &table_buf));
-  Decoder dec{table_buf};
-  ROTTNEST_RETURN_NOT_OK(format::PageTable::Deserialize(&dec, &out->pages));
-  return Status::OK();
+  return LoadPageTable(reader, pool, trace, &out->pages);
 }
 
 /// Holt-McMillan interleave refinement for two multi-string BWTs. Returns

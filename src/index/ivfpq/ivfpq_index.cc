@@ -14,7 +14,6 @@ namespace {
 constexpr const char* kMetaComponent = "meta";
 constexpr const char* kCentroidsComponent = "centroids";
 constexpr const char* kCodebooksComponent = "codebooks";
-constexpr const char* kPageTableComponent = "pagetable";
 
 std::string ListName(uint32_t l) { return "list." + std::to_string(l); }
 
@@ -381,14 +380,8 @@ Status IvfPqMerge(const std::vector<ComponentFileReader*>& inputs,
     if (in_meta.dim != meta.dim) {
       return Status::InvalidArgument("merge inputs disagree on dim");
     }
-    Slice table_buf;
-    ROTTNEST_RETURN_NOT_OK(input->ReadComponent(kPageTableComponent, pool,
-                                                trace, &table_buf));
     format::PageTable table;
-    {
-      Decoder dec{table_buf};
-      ROTTNEST_RETURN_NOT_OK(format::PageTable::Deserialize(&dec, &table));
-    }
+    ROTTNEST_RETURN_NOT_OK(LoadPageTable(input, pool, trace, &table));
     format::PageId page_offset = merged_pages.Absorb(table);
 
     // Read all lists of this input in one round.

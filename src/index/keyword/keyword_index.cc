@@ -3,37 +3,17 @@
 #include <algorithm>
 
 #include "compress/bitpack.h"
-// For the shared "pagetable" component loader (LoadPageTable): the keyword
-// file embeds its page table under the same component name and format as
-// the other index types.
-#include "index/trie/trie_index.h"
+#include "index/sorted_components.h"
 
 namespace rottnest::index {
 
 namespace {
 
-constexpr size_t kTargetPostingBytes = 64 << 10;
-constexpr const char* kPageTableComponent = "pagetable";
-constexpr const char* kDictComponent = "dict";
-
-std::string PostingName(size_t i) { return "post." + std::to_string(i); }
-
-// Serialized size estimate of one entry. Only consistency between the
-// buffered build and the streaming merge matters (both partition with this
-// function), not exactness.
-size_t EntrySize(const KeywordEntry& e) {
-  return 2 + e.term.size() + 2 + 2 * e.pages.size();
-}
-
-void SerializeEntry(const KeywordEntry& e, Buffer* out) {
-  PutLengthPrefixedString(out, e.term);
-  EncodePostings(e.pages, out);
-}
-
-Status DeserializeEntry(Decoder* dec, KeywordEntry* out) {
-  ROTTNEST_RETURN_NOT_OK(dec->GetLengthPrefixedString(&out->term));
-  return DecodePostings(dec, &out->pages);
-}
+/// One dictionary entry as stored: a term and its posting list.
+struct KeywordEntry {
+  std::string term;
+  std::vector<format::PageId> pages;
+};
 
 /// Steps over one EncodePostings list without decoding it.
 Status SkipPostings(Decoder* dec) {
@@ -105,203 +85,43 @@ Status DeserializeDict(Slice payload, Dict* out) {
   return Status::OK();
 }
 
-/// Writes sorted, term-unique entries + page table into an index file.
-/// Posting-component serialization and compression fan out on `pool`; the
-/// partition is computed serially first and components are appended in
-/// fixed order, so the image does not depend on thread count.
-Status WriteKeywordFile(const std::string& column,
-                        const std::vector<KeywordEntry>& entries,
-                        const format::PageTable& pages, ThreadPool* pool,
-                        Buffer* out) {
-  ComponentFileWriter writer(IndexType::kKeyword, column);
+/// The keyword index's codec for the shared sorted-component layer:
+/// "post.N" components of terms, fenced by the "dict" component.
+struct KeywordCodec {
+  using Entry = KeywordEntry;
+  using FenceKey = std::string;
+  static constexpr IndexType kType = IndexType::kKeyword;
+  static constexpr const char* kPrefix = "post.";
+  static constexpr const char* kFence = "dict";
 
-  Buffer table_buf;
-  pages.Serialize(&table_buf);
-  ROTTNEST_RETURN_NOT_OK(
-      writer.AddComponent(kPageTableComponent, Slice(table_buf)));
-
-  // Partition entries into posting components (serial: the split points
-  // define the file layout and must not depend on scheduling).
-  std::vector<std::pair<size_t, size_t>> ranges;
-  size_t i = 0;
-  while (i < entries.size()) {
-    size_t begin = i;
-    size_t bytes = 0;
-    while (i < entries.size() && (i == begin || bytes < kTargetPostingBytes)) {
-      bytes += EntrySize(entries[i]);
-      ++i;
-    }
-    ranges.emplace_back(begin, i);
+  static size_t EntrySize(const KeywordEntry& e) {
+    return 2 + e.term.size() + 2 + 2 * e.pages.size();
   }
 
-  std::vector<std::string> names(ranges.size());
-  std::vector<Buffer> bodies(ranges.size());
-  auto serialize_component = [&](size_t c) {
-    auto [begin, end] = ranges[c];
-    names[c] = PostingName(c);
-    PutVarint64(&bodies[c], end - begin);
-    for (size_t j = begin; j < end; ++j) {
-      SerializeEntry(entries[j], &bodies[c]);
-    }
-  };
-  if (pool != nullptr) {
-    pool->ParallelFor(ranges.size(), serialize_component);
-  } else {
-    for (size_t c = 0; c < ranges.size(); ++c) serialize_component(c);
-  }
-  ROTTNEST_RETURN_NOT_OK(writer.AddComponents(names, bodies, pool));
-
-  Dict dict;
-  dict.first_terms.reserve(ranges.size());
-  for (const auto& [begin, end] : ranges) {
-    dict.first_terms.push_back(entries[begin].term);
-  }
-  Buffer dict_buf;
-  SerializeDict(dict, &dict_buf);
-  // Dict written last so it lands in the tail read.
-  ROTTNEST_RETURN_NOT_OK(writer.AddComponent(kDictComponent, Slice(dict_buf)));
-  return writer.Finish(out);
-}
-
-/// Posting component names in numeric order. ComponentNames() is
-/// lexicographic ("post.10" < "post.2"), which would scramble a streaming
-/// merge's term order.
-std::vector<std::string> OrderedPostingNames(
-    const ComponentFileReader& input) {
-  size_t count = 0;
-  for (const std::string& name : input.ComponentNames()) {
-    if (name.rfind("post.", 0) == 0) ++count;
-  }
-  std::vector<std::string> names;
-  names.reserve(count);
-  for (size_t i = 0; i < count; ++i) names.push_back(PostingName(i));
-  return names;
-}
-
-/// Streams one input's entries in term order, holding a single parsed
-/// component at a time and evicting each from the reader cache once
-/// consumed.
-class KeywordPostingStream {
- public:
-  KeywordPostingStream(ComponentFileReader* input, format::PageId page_offset,
-                       ThreadPool* pool, objectstore::IoTrace* trace)
-      : input_(input),
-        page_offset_(page_offset),
-        names_(OrderedPostingNames(*input)),
-        pool_(pool),
-        trace_(trace) {}
-
-  /// Loads the first component. Must be called once before
-  /// current()/Advance().
-  Status Init() { return LoadNext(); }
-
-  bool exhausted() const { return exhausted_; }
-  KeywordEntry& current() { return entries_[pos_]; }
-  const KeywordEntry& current() const { return entries_[pos_]; }
-
-  Status Advance() {
-    if (++pos_ < entries_.size()) return Status::OK();
-    return LoadNext();
+  static void Serialize(const KeywordEntry& e, Buffer* out) {
+    PutLengthPrefixedString(out, e.term);
+    EncodePostings(e.pages, out);
   }
 
- private:
-  Status LoadNext() {
-    for (;;) {
-      if (next_ > 0) input_->Evict(names_[next_ - 1]);
-      if (next_ >= names_.size()) {
-        exhausted_ = true;
-        entries_.clear();
-        return Status::OK();
-      }
-      Slice buf;
-      ROTTNEST_RETURN_NOT_OK(
-          input_->ReadComponent(names_[next_], pool_, trace_, &buf));
-      ++next_;
-      entries_.clear();
-      ROTTNEST_RETURN_NOT_OK(ParseKeywordPostings(buf, &entries_));
-      pos_ = 0;
-      if (entries_.empty()) continue;  // Defensive: skip empty components.
-      for (KeywordEntry& e : entries_) {
-        for (format::PageId& p : e.pages) p += page_offset_;
-      }
-      return Status::OK();
-    }
+  static Status Deserialize(Decoder* dec, KeywordEntry* out) {
+    ROTTNEST_RETURN_NOT_OK(dec->GetLengthPrefixedString(&out->term));
+    return DecodePostings(dec, &out->pages);
   }
 
-  ComponentFileReader* input_;
-  format::PageId page_offset_;
-  std::vector<std::string> names_;
-  ThreadPool* pool_;
-  objectstore::IoTrace* trace_;
-  std::vector<KeywordEntry> entries_;
-  size_t pos_ = 0;
-  size_t next_ = 0;
-  bool exhausted_ = false;
-};
+  static std::string FenceKeyOf(const KeywordEntry& e) { return e.term; }
 
-/// Accumulates merged entries and emits posting components as they fill,
-/// replicating WriteKeywordFile's partition rule (first entry always
-/// admitted, further entries while the component is under
-/// kTargetPostingBytes) so a streaming merge writes the same bytes as the
-/// buffered path. Completed bodies flush in small batches so compression
-/// can ride `pool` while peak memory stays O(batch × component).
-class KeywordPostingEmitter {
- public:
-  KeywordPostingEmitter(ComponentFileWriter* writer, ThreadPool* pool)
-      : writer_(writer), pool_(pool) {}
-
-  Status Append(const KeywordEntry& e) {
-    if (count_ > 0 && bytes_ >= kTargetPostingBytes) {
-      ROTTNEST_RETURN_NOT_OK(CloseComponent());
-    }
-    if (count_ == 0) first_terms_.push_back(e.term);
-    bytes_ += EntrySize(e);
-    SerializeEntry(e, &body_);
-    ++count_;
-    return Status::OK();
+  static void SerializeFence(std::vector<std::string> first_terms,
+                             Buffer* out) {
+    SerializeDict(Dict{std::move(first_terms)}, out);
   }
 
-  /// Flushes the trailing component and fills `dict`.
-  Status Close(Dict* dict) {
-    if (count_ > 0) ROTTNEST_RETURN_NOT_OK(CloseComponent());
-    ROTTNEST_RETURN_NOT_OK(FlushBatch());
-    dict->first_terms = std::move(first_terms_);
-    return Status::OK();
+  static bool Before(const KeywordEntry& a, const KeywordEntry& b) {
+    return a.term < b.term;
   }
 
- private:
-  static constexpr size_t kFlushBatchComponents = 8;
-
-  Status CloseComponent() {
-    Buffer component;
-    PutVarint64(&component, count_);
-    component.insert(component.end(), body_.begin(), body_.end());
-    pending_names_.push_back(PostingName(next_++));
-    pending_bodies_.push_back(std::move(component));
-    body_.clear();
-    bytes_ = 0;
-    count_ = 0;
-    if (pending_bodies_.size() >= kFlushBatchComponents) return FlushBatch();
-    return Status::OK();
+  static bool Absorbs(const KeywordEntry& prev, const KeywordEntry& next) {
+    return prev.term == next.term;
   }
-
-  Status FlushBatch() {
-    if (pending_bodies_.empty()) return Status::OK();
-    Status s = writer_->AddComponents(pending_names_, pending_bodies_, pool_);
-    pending_names_.clear();
-    pending_bodies_.clear();
-    return s;
-  }
-
-  ComponentFileWriter* writer_;
-  ThreadPool* pool_;
-  Buffer body_;
-  size_t bytes_ = 0;
-  uint64_t count_ = 0;
-  size_t next_ = 0;
-  std::vector<std::string> first_terms_;
-  std::vector<std::string> pending_names_;
-  std::vector<Buffer> pending_bodies_;
 };
 
 }  // namespace
@@ -430,34 +250,14 @@ void KeywordIndexBuilder::PreparePageTokens(
 
 Status KeywordIndexBuilder::Finish(const format::PageTable& pages,
                                    ThreadPool* pool, Buffer* out) {
-  std::sort(postings_.begin(), postings_.end());
-
-  // Group postings by term, deduplicating pages.
-  std::vector<KeywordEntry> entries;
-  for (auto& [term, page] : postings_) {
-    if (entries.empty() || entries.back().term != term) {
-      entries.push_back({term, {}});
-    }
-    if (entries.back().pages.empty() || entries.back().pages.back() != page) {
-      entries.back().pages.push_back(page);
-    }
+  sorted_components::Emitter<KeywordCodec> emitter(column_, pool);
+  ROTTNEST_RETURN_NOT_OK(emitter.Begin(pages));
+  for (auto& [term, term_pages] :
+       sorted_components::GroupPostings(&postings_)) {
+    ROTTNEST_RETURN_NOT_OK(
+        emitter.Append({std::move(term), std::move(term_pages)}));
   }
-  return WriteKeywordFile(column_, entries, pages, pool, out);
-}
-
-Status ParseKeywordPostings(Slice payload, std::vector<KeywordEntry>* out) {
-  Decoder dec(payload);
-  uint64_t n = 0;
-  ROTTNEST_RETURN_NOT_OK(dec.GetVarint64(&n));
-  out->clear();
-  out->reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    KeywordEntry e;
-    ROTTNEST_RETURN_NOT_OK(DeserializeEntry(&dec, &e));
-    out->push_back(std::move(e));
-  }
-  if (!dec.exhausted()) return Status::Corruption("trailing posting bytes");
-  return Status::OK();
+  return emitter.Finish(out);
 }
 
 Status KeywordQueryMany(ComponentFileReader* reader, ThreadPool* pool,
@@ -472,7 +272,7 @@ Status KeywordQueryMany(ComponentFileReader* reader, ThreadPool* pool,
   if (terms.empty()) return Status::OK();
   Slice dict_buf;
   ROTTNEST_RETURN_NOT_OK(
-      reader->ReadComponent(kDictComponent, pool, trace, &dict_buf));
+      reader->ReadComponent(KeywordCodec::kFence, pool, trace, &dict_buf));
   Dict dict;
   ROTTNEST_RETURN_NOT_OK(DeserializeDict(dict_buf, &dict));
 
@@ -500,7 +300,9 @@ Status KeywordQueryMany(ComponentFileReader* reader, ThreadPool* pool,
   if (needed.empty()) return Status::OK();
   std::vector<std::string> names;
   names.reserve(needed.size());
-  for (int c : needed) names.push_back(PostingName(c));
+  for (int c : needed) {
+    names.push_back(sorted_components::ComponentName<KeywordCodec>(c));
+  }
   std::vector<Slice> bufs;
   ROTTNEST_RETURN_NOT_OK(reader->ReadComponents(names, pool, trace, &bufs));
   std::vector<std::vector<format::PageId>> pages_of(terms.size());
@@ -544,79 +346,11 @@ Status KeywordQueryMany(ComponentFileReader* reader, ThreadPool* pool,
   return Status::OK();
 }
 
-Status KeywordQuery(ComponentFileReader* reader, ThreadPool* pool,
-                    objectstore::IoTrace* trace, const std::string& term,
-                    std::vector<format::PageId>* pages) {
-  return KeywordQueryMany(reader, pool, trace, {term}, /*require_all=*/true,
-                          pages);
-}
-
 Status KeywordMerge(const std::vector<ComponentFileReader*>& inputs,
                     ThreadPool* pool, objectstore::IoTrace* trace,
                     const std::string& column, Buffer* out) {
-  // Absorb every input page table first: the merged table is the
-  // concatenation of the inputs' tables and is complete before any entry
-  // streams, so the "pagetable" component can be written in its usual
-  // first-component slot.
-  format::PageTable merged_pages;
-  std::vector<KeywordPostingStream> streams;
-  streams.reserve(inputs.size());
-  for (ComponentFileReader* input : inputs) {
-    if (input->type() != IndexType::kKeyword) {
-      return Status::InvalidArgument("merge input is not a keyword index");
-    }
-    format::PageTable table;
-    ROTTNEST_RETURN_NOT_OK(LoadPageTable(input, pool, trace, &table));
-    format::PageId offset = merged_pages.Absorb(table);
-    streams.emplace_back(input, offset, pool, trace);
-  }
-  for (KeywordPostingStream& s : streams) ROTTNEST_RETURN_NOT_OK(s.Init());
-
-  ComponentFileWriter writer(IndexType::kKeyword, column);
-  Buffer table_buf;
-  merged_pages.Serialize(&table_buf);
-  ROTTNEST_RETURN_NOT_OK(
-      writer.AddComponent(kPageTableComponent, Slice(table_buf)));
-
-  // K-way merge by term, earliest input winning ties. Equal terms always
-  // coalesce and their pages are sorted + deduplicated, so the output is
-  // independent of input order among ties.
-  KeywordPostingEmitter emitter(&writer, pool);
-  KeywordEntry pending;
-  bool has_pending = false;
-  for (;;) {
-    int best = -1;
-    for (size_t i = 0; i < streams.size(); ++i) {
-      if (streams[i].exhausted()) continue;
-      if (best < 0 || streams[i].current().term < streams[best].current().term) {
-        best = static_cast<int>(i);
-      }
-    }
-    if (best < 0) break;
-    KeywordEntry e = std::move(streams[best].current());
-    ROTTNEST_RETURN_NOT_OK(streams[best].Advance());
-    if (has_pending && pending.term == e.term) {
-      pending.pages.insert(pending.pages.end(), e.pages.begin(),
-                           e.pages.end());
-      std::sort(pending.pages.begin(), pending.pages.end());
-      pending.pages.erase(
-          std::unique(pending.pages.begin(), pending.pages.end()),
-          pending.pages.end());
-      continue;
-    }
-    if (has_pending) ROTTNEST_RETURN_NOT_OK(emitter.Append(pending));
-    pending = std::move(e);
-    has_pending = true;
-  }
-  if (has_pending) ROTTNEST_RETURN_NOT_OK(emitter.Append(pending));
-
-  Dict dict;
-  ROTTNEST_RETURN_NOT_OK(emitter.Close(&dict));
-  Buffer dict_buf;
-  SerializeDict(dict, &dict_buf);
-  // Dict written last so it lands in the tail read.
-  ROTTNEST_RETURN_NOT_OK(writer.AddComponent(kDictComponent, Slice(dict_buf)));
-  return writer.Finish(out);
+  return sorted_components::Merge<KeywordCodec>(inputs, pool, trace, column,
+                                                out);
 }
 
 Status CollectKeywordStats(ComponentFileReader* reader, ThreadPool* pool,
@@ -626,11 +360,13 @@ Status CollectKeywordStats(ComponentFileReader* reader, ThreadPool* pool,
   if (reader->type() != IndexType::kKeyword) {
     return Status::InvalidArgument("not a keyword index");
   }
-  for (const std::string& name : OrderedPostingNames(*reader)) {
+  for (const std::string& name :
+       sorted_components::ComponentNames<KeywordCodec>(*reader)) {
     Slice buf;
     ROTTNEST_RETURN_NOT_OK(reader->ReadComponent(name, pool, trace, &buf));
     std::vector<KeywordEntry> entries;
-    ROTTNEST_RETURN_NOT_OK(ParseKeywordPostings(buf, &entries));
+    ROTTNEST_RETURN_NOT_OK(
+        sorted_components::Parse<KeywordCodec>(buf, &entries));
     for (const KeywordEntry& e : entries) {
       ++out->terms;
       out->postings += e.pages.size();

@@ -112,12 +112,6 @@ void EncodePostings(const std::vector<format::PageId>& pages, Buffer* out);
 /// Inverse of EncodePostings.
 Status DecodePostings(Decoder* dec, std::vector<format::PageId>* out);
 
-/// One dictionary entry as stored: a term and its posting list.
-struct KeywordEntry {
-  std::string term;
-  std::vector<format::PageId> pages;
-};
-
 /// Accumulates (term, page) postings and emits a keyword index file.
 class KeywordIndexBuilder {
  public:
@@ -164,19 +158,11 @@ Status KeywordQueryMany(ComponentFileReader* reader, ThreadPool* pool,
                         const std::vector<std::string>& terms,
                         bool require_all, std::vector<format::PageId>* pages);
 
-/// Single-term convenience.
-Status KeywordQuery(ComponentFileReader* reader, ThreadPool* pool,
-                    objectstore::IoTrace* trace, const std::string& term,
-                    std::vector<format::PageId>* pages);
-
 /// Merges several keyword index files into one (LSM-style compaction). The
 /// merged file's page table is the concatenation of the inputs' tables;
 /// postings are remapped accordingly and equal terms' lists are unioned.
-///
-/// The merge streams: a k-way merge holds one parsed posting component per
-/// input (components are evicted from the reader cache once consumed) and
-/// emits output components as they fill, replicating the builder's
-/// partition rule so output bytes are independent of `pool`.
+/// The merge streams through the shared sorted-component layer
+/// (`index/sorted_components.h`; DESIGN.md §4k).
 Status KeywordMerge(const std::vector<ComponentFileReader*>& inputs,
                     ThreadPool* pool, objectstore::IoTrace* trace,
                     const std::string& column, Buffer* out);
@@ -194,10 +180,6 @@ struct KeywordIndexStats {
 Status CollectKeywordStats(ComponentFileReader* reader, ThreadPool* pool,
                            objectstore::IoTrace* trace,
                            KeywordIndexStats* out);
-
-/// Internal: parses the entry stream of one posting component. Exposed for
-/// merge and tests.
-Status ParseKeywordPostings(Slice payload, std::vector<KeywordEntry>* out);
 
 }  // namespace rottnest::index
 

@@ -30,11 +30,6 @@ struct Key128 {
   uint64_t hi = 0;
   uint64_t lo = 0;
 
-  /// Bit i (0 = most significant).
-  bool Bit(int i) const {
-    return i < 64 ? (hi >> (63 - i)) & 1 : (lo >> (127 - i)) & 1;
-  }
-
   /// Keeps the first `bits` bits, zeroing the rest.
   Key128 Truncate(int bits) const;
 
@@ -81,15 +76,6 @@ class TrieIndexBuilder {
   std::vector<std::pair<Key128, format::PageId>> postings_;
 };
 
-/// One trie node as stored: a truncated key (zero-padded) and its pages.
-/// Nodes are prefix-free within one index file, so at most one node can be
-/// a prefix of any query key.
-struct TrieEntry {
-  Key128 key;        ///< First `bits` bits significant, rest zero.
-  uint8_t bits = 0;  ///< Truncated length in bits, 1..128.
-  std::vector<format::PageId> pages;
-};
-
 /// Looks up `key`, appending page ids of every node whose truncated key is
 /// a prefix of `key`. Two dependent IO rounds (root already cached by the
 /// reader's tail read, one round for leaves).
@@ -97,27 +83,15 @@ Status TrieQuery(ComponentFileReader* reader, ThreadPool* pool,
                  objectstore::IoTrace* trace, const Key128& key,
                  std::vector<format::PageId>* pages);
 
-/// Loads the embedded page table.
-Status LoadPageTable(ComponentFileReader* reader, ThreadPool* pool,
-                     objectstore::IoTrace* trace, format::PageTable* out);
-
 /// Merges several trie index files into one (LSM-style compaction). The
 /// merged file's page table is the concatenation of the inputs' tables;
 /// postings are remapped accordingly. Colliding truncated keys (one a
 /// prefix of another) are coalesced, trading false positives for bounded
-/// merge cost — as §V-C1 prescribes.
-///
-/// The merge streams: a k-way merge holds one parsed leaf per input (leaves
-/// are evicted from the reader cache once consumed) and emits output leaves
-/// as they fill, so peak memory is O(inputs × leaf) instead of the sum of
-/// all input entries. Output bytes are independent of `pool`.
+/// merge cost — as §V-C1 prescribes. The merge streams through the shared
+/// sorted-component layer (`index/sorted_components.h`; DESIGN.md §4k).
 Status TrieMerge(const std::vector<ComponentFileReader*>& inputs,
                  ThreadPool* pool, objectstore::IoTrace* trace,
                  const std::string& column, Buffer* out);
-
-/// Internal: parses the leaf-entry stream of one component. Exposed for
-/// merge and tests.
-Status ParseTrieLeaf(Slice payload, std::vector<TrieEntry>* out);
 
 }  // namespace rottnest::index
 

@@ -309,7 +309,9 @@ TEST_F(KeywordIndexTest, SingleTermLookupFindsAllPostings) {
   auto reader = Open("idx/k.index");
   for (const auto& [term, pages] : expected) {
     std::vector<format::PageId> got;
-    ASSERT_TRUE(KeywordQuery(reader.get(), &pool_, nullptr, term, &got).ok());
+    ASSERT_TRUE(KeywordQueryMany(reader.get(), &pool_, nullptr, {term},
+                                 /*require_all=*/true, &got)
+                    .ok());
     EXPECT_EQ(got, pages) << term;
   }
 }
@@ -319,7 +321,9 @@ TEST_F(KeywordIndexTest, MissingTermsReturnNothing) {
   auto reader = Open("idx/k.index");
   for (const char* term : {"absent", "aaaa", "zzzz", "term99999", "term"}) {
     std::vector<format::PageId> got;
-    ASSERT_TRUE(KeywordQuery(reader.get(), &pool_, nullptr, term, &got).ok());
+    ASSERT_TRUE(KeywordQueryMany(reader.get(), &pool_, nullptr, {term},
+                                 /*require_all=*/true, &got)
+                    .ok());
     EXPECT_TRUE(got.empty()) << term;
   }
 }
@@ -463,7 +467,9 @@ TEST_F(KeywordIndexTest, EmptyIndexReturnsNothing) {
   ASSERT_TRUE(store_.Put("idx/e.index", Slice(file)).ok());
   auto reader = Open("idx/e.index");
   std::vector<format::PageId> got;
-  ASSERT_TRUE(KeywordQuery(reader.get(), &pool_, nullptr, "any", &got).ok());
+  ASSERT_TRUE(KeywordQueryMany(reader.get(), &pool_, nullptr, {"any"},
+                               /*require_all=*/true, &got)
+                  .ok());
   EXPECT_TRUE(got.empty());
 }
 
@@ -492,7 +498,9 @@ TEST_F(KeywordIndexTest, MergeUnionsTermsAndRemapsPages) {
   }
   for (const auto& [term, pages] : expected) {
     std::vector<format::PageId> got;
-    ASSERT_TRUE(KeywordQuery(rm.get(), &pool_, nullptr, term, &got).ok());
+    ASSERT_TRUE(KeywordQueryMany(rm.get(), &pool_, nullptr, {term},
+                                 /*require_all=*/true, &got)
+                    .ok());
     EXPECT_EQ(got, pages) << term;
   }
 }

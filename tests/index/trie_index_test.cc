@@ -15,16 +15,6 @@ namespace {
 using objectstore::InMemoryObjectStore;
 using objectstore::IoTrace;
 
-TEST(Key128Test, BitAccess) {
-  Key128 k;
-  k.hi = 1ULL << 63;  // bit 0 set
-  k.lo = 1;           // bit 127 set
-  EXPECT_TRUE(k.Bit(0));
-  EXPECT_FALSE(k.Bit(1));
-  EXPECT_FALSE(k.Bit(126));
-  EXPECT_TRUE(k.Bit(127));
-}
-
 TEST(Key128Test, Truncate) {
   Key128 k{0xffffffffffffffffULL, 0xffffffffffffffffULL};
   EXPECT_EQ(k.Truncate(0).hi, 0u);
