@@ -49,7 +49,7 @@ TEST(CodingTest, VarintBoundaries) {
   for (uint64_t v : values) PutVarint64(&buf, v);
   Decoder dec{Slice(buf)};
   for (uint64_t expected : values) {
-    uint64_t v;
+    uint64_t v = 0;
     ASSERT_TRUE(dec.GetVarint64(&v).ok());
     EXPECT_EQ(v, expected);
   }
@@ -68,7 +68,7 @@ TEST(CodingTest, VarintRandomRoundTrip) {
   }
   Decoder dec{Slice(buf)};
   for (uint64_t expected : values) {
-    uint64_t v;
+    uint64_t v = 0;
     ASSERT_TRUE(dec.GetVarint64(&v).ok());
     EXPECT_EQ(v, expected);
   }
