@@ -20,6 +20,7 @@
 #define ROTTNEST_CORE_QUERY_H_
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -33,6 +34,8 @@
 #include "obs/stats.h"
 
 namespace rottnest::core {
+
+struct MetadataState;  // Both logs resolved at one version pair (rottnest.h).
 
 /// One verified search hit.
 struct RowMatch {
@@ -182,6 +185,13 @@ struct SearchOptions : CommonOptions {
   /// computed at execution start would silently restart it. Direct callers
   /// normally leave this default and use `time_budget_micros`.
   Deadline deadline;
+  /// Pre-resolved metadata state (Rottnest::ResolveMetadata), planned
+  /// against instead of resolving both logs again — used when `snapshot`
+  /// is -1 or names its table version. This is how the serving layer
+  /// resolves the logs once per wave: every member plans against the
+  /// wave's state and issues no metadata request of its own. Direct
+  /// callers normally leave this null.
+  std::shared_ptr<const MetadataState> metadata;
 };
 
 /// The query kinds of the unified API — one per Search*/Count* entry point.

@@ -1133,15 +1133,14 @@ Result<IndexReport> Rottnest::Index(const std::string& column, IndexType type,
     internal::OpPhase phase(&op, "plan");
     local.RecordList();
     local.RecordList();
-    Snapshot snapshot;
-    std::vector<IndexEntry> entries;
-    ROTTNEST_RETURN_NOT_OK(ResolveMetadata(-1, &snapshot, &entries));
+    ROTTNEST_ASSIGN_OR_RETURN(std::shared_ptr<const MetadataState> state,
+                              ResolveMetadata());
     std::set<std::string> indexed;
-    for (const IndexEntry& e : entries) {
+    for (const IndexEntry& e : state->entries) {
       if (e.column != column || e.index_type != IndexTypeName(type)) continue;
       indexed.insert(e.covered_files.begin(), e.covered_files.end());
     }
-    for (const DataFile& f : snapshot.files) {
+    for (const DataFile& f : state->snapshot.files) {
       if (indexed.count(f.path) == 0) {
         fresh.push_back(f);
         fresh_rows += f.rows;
@@ -1190,38 +1189,71 @@ Result<IndexReport> Rottnest::Index(const std::string& column, IndexType type,
 // ---------------------------------------------------------------------------
 // search
 
-Status Rottnest::ResolveMetadata(lake::Version version, Snapshot* snapshot,
-                                 std::vector<IndexEntry>* entries) {
+Result<std::shared_ptr<const MetadataState>> Rottnest::ResolveMetadata(
+    lake::Version version) {
+  std::shared_ptr<const MetadataState> held;
+  {
+    std::lock_guard<std::mutex> lock(state_mu_);
+    held = state_;
+  }
   lake::ReplayTask lake_log, registry;
   lake_log.log = &table_->log();
   lake_log.version = version;
   registry.log = &metadata_.log();
+  if (held != nullptr) {
+    lake_log.since = held->snapshot.version;
+    registry.since = held->registry_version;
+  }
   lake::TxnLog::ReplayAll({&lake_log, &registry}, &io_);
-  ROTTNEST_ASSIGN_OR_RETURN(*snapshot, table_->SnapshotFrom(lake_log));
-  ROTTNEST_ASSIGN_OR_RETURN(*entries,
-                            lake::MetadataTable::EntriesFrom(registry));
-  return Status::OK();
+  if (lake_log.unchanged() && registry.unchanged()) return held;
+
+  MetadataState built;
+  ROTTNEST_ASSIGN_OR_RETURN(
+      built.snapshot,
+      table_->SnapshotFrom(lake_log, held ? &held->snapshot : nullptr));
+  ROTTNEST_ASSIGN_OR_RETURN(
+      built.entries, lake::MetadataTable::EntriesFrom(
+                         registry, held ? &held->entries : nullptr));
+  built.registry_version = registry.status.ok() ? registry.replayed : -1;
+  auto next = std::make_shared<const MetadataState>(std::move(built));
+  if (version >= 0) return next;  // Time travel: never the held state.
+
+  std::lock_guard<std::mutex> lock(state_mu_);
+  if (state_ == nullptr ||
+      (next->snapshot.version >= state_->snapshot.version &&
+       next->registry_version >= state_->registry_version)) {
+    state_ = next;
+  }
+  return next;
+}
+
+Result<std::shared_ptr<const MetadataState>> Rottnest::StateFor(
+    const SearchOptions& opts) {
+  if (opts.metadata != nullptr &&
+      (opts.snapshot < 0 ||
+       opts.snapshot == opts.metadata->snapshot.version)) {
+    return opts.metadata;
+  }
+  // Plan cost model: one manifest read + one metadata-table read.
+  if (opts.trace != nullptr) {
+    opts.trace->RecordList();
+    opts.trace->RecordList();
+  }
+  return ResolveMetadata(opts.snapshot);
 }
 
 Status Rottnest::MakePlan(const std::string& column, IndexType type,
-                          lake::Version snapshot_version,
-                          objectstore::IoTrace* trace, Plan* out) {
-  // Plan cost model: one manifest read + one metadata-table read.
-  if (trace != nullptr) {
-    trace->RecordList();
-    trace->RecordList();
-  }
-  std::vector<IndexEntry> entries;
-  ROTTNEST_RETURN_NOT_OK(
-      ResolveMetadata(snapshot_version, &out->snapshot, &entries));
-
+                          const SearchOptions& opts, Plan* out) {
+  ROTTNEST_ASSIGN_OR_RETURN(std::shared_ptr<const MetadataState> state,
+                            StateFor(opts));
+  out->snapshot = state->snapshot;
   out->column_index = table_->schema().FindColumn(column);
   if (out->column_index < 0) {
     return Status::InvalidArgument("no such column: " + column);
   }
 
   std::set<std::string> covered;
-  for (const IndexEntry& e : entries) {
+  for (const IndexEntry& e : state->entries) {
     if (e.column != column || e.index_type != IndexTypeName(type)) continue;
     // An index is relevant iff it covers at least one live snapshot file.
     bool relevant = false;
@@ -1287,8 +1319,7 @@ struct Rottnest::ExecContext {
   Status Prepare(const std::string& column, IndexType type) {
     {
       internal::OpPhase phase(&op, "plan");
-      ROTTNEST_RETURN_NOT_OK(
-          db->MakePlan(column, type, opts.snapshot, trace, &plan));
+      ROTTNEST_RETURN_NOT_OK(db->MakePlan(column, type, opts, &plan));
     }
     ROTTNEST_RETURN_NOT_OK(rf.Validate());
     RecordUncovered(opts, plan.unindexed.size(), &result);
@@ -1682,8 +1713,7 @@ Result<uint64_t> Rottnest::ExecCount(const std::string& column,
   Plan plan;
   {
     internal::OpPhase phase(&op, "plan");
-    ROTTNEST_RETURN_NOT_OK(
-        MakePlan(column, IndexType::kFm, opts.snapshot, opts.trace, &plan));
+    ROTTNEST_RETURN_NOT_OK(MakePlan(column, IndexType::kFm, opts, &plan));
   }
 
   RecordUncovered(opts, plan.unindexed.size(), nullptr);
@@ -1919,30 +1949,25 @@ Result<uint64_t> Rottnest::CountSubstring(const std::string& column,
 
 Result<std::vector<IndexDescription>> Rottnest::DescribeIndexes(
     const SearchOptions& opts) {
-  // Same plan-state cost model as a search: metadata table + manifest.
+  // Same plan-state cost model as a search (StateFor).
   internal::OpObs op(store_, cache_store_.get(), opts.obs,
                      "describe_indexes");
-  if (opts.trace != nullptr) {
-    opts.trace->RecordList();
-    opts.trace->RecordList();
-  }
-  Snapshot snapshot;
-  std::vector<IndexEntry> entries;
-  ROTTNEST_RETURN_NOT_OK(ResolveMetadata(opts.snapshot, &snapshot, &entries));
+  ROTTNEST_ASSIGN_OR_RETURN(std::shared_ptr<const MetadataState> state,
+                            StateFor(opts));
   std::vector<IndexDescription> result;
-  result.reserve(entries.size());
-  for (IndexEntry& e : entries) {
+  result.reserve(state->entries.size());
+  for (const IndexEntry& e : state->entries) {
     IndexDescription d;
     objectstore::ObjectMeta meta;
     ROTTNEST_RETURN_NOT_OK(read_store()->Head(e.index_path, &meta));
     d.bytes = meta.size;
     for (const std::string& f : e.covered_files) {
-      if (snapshot.ContainsFile(f)) {
+      if (state->snapshot.ContainsFile(f)) {
         d.covers_live_files = true;
         break;
       }
     }
-    d.entry = std::move(e);
+    d.entry = e;
     result.push_back(std::move(d));
   }
   return result;

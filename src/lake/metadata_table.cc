@@ -87,13 +87,19 @@ Result<std::vector<IndexEntry>> MetadataTable::ReadAll(ThreadPool* io) {
 }
 
 Result<std::vector<IndexEntry>> MetadataTable::EntriesFrom(
-    const ReplayTask& replayed) {
+    const ReplayTask& replayed, const std::vector<IndexEntry>* held) {
   if (replayed.status.IsNotFound()) {
     return std::vector<IndexEntry>{};  // Empty registry.
   }
   if (!replayed.status.ok()) return replayed.status;
 
   std::map<std::string, IndexEntry> live;
+  if (replayed.caught_up) {
+    if (held == nullptr) {
+      return Status::InvalidArgument("catch-up without the held entries");
+    }
+    for (const IndexEntry& e : *held) live.emplace(e.index_path, e);
+  }
   for (const Json& a : replayed.actions) {
     Json payload;
     if (a.Get("addIndex", &payload)) {

@@ -46,9 +46,13 @@ class MetadataTable {
   Result<std::vector<IndexEntry>> ReadAll(ThreadPool* io = nullptr);
 
   /// The live entries a replay of the registry log produced (an empty set
-  /// for an empty log; the error of any other failed replay).
+  /// for an empty log; the error of any other failed replay), in index
+  /// path order. The one materializer of the registry log: a full replay
+  /// builds the set from nothing, a catch-up (ReplayTask::caught_up)
+  /// applies its entries to `held`, the set at ReplayTask::since.
   static Result<std::vector<IndexEntry>> EntriesFrom(
-      const ReplayTask& replayed);
+      const ReplayTask& replayed,
+      const std::vector<IndexEntry>* held = nullptr);
 
   /// Checkpoints the registry log (see Table::Checkpoint).
   Result<Version> Checkpoint() { return log_.WriteCheckpoint(); }

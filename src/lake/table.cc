@@ -244,12 +244,19 @@ Result<Snapshot> Table::GetSnapshot(Version version, ThreadPool* io) {
   return SnapshotFrom(task);
 }
 
-Result<Snapshot> Table::SnapshotFrom(const ReplayTask& replayed) const {
+Result<Snapshot> Table::SnapshotFrom(const ReplayTask& replayed,
+                                     const Snapshot* held) const {
   if (!replayed.status.ok()) return replayed.status;
   Snapshot snap;
   snap.version = replayed.replayed;
   snap.schema = schema_;
   std::map<std::string, DataFile> live;
+  if (replayed.caught_up) {
+    if (held == nullptr || held->version != replayed.since) {
+      return Status::InvalidArgument("catch-up without the held snapshot");
+    }
+    for (const DataFile& f : held->files) live.emplace(f.path, f);
+  }
   for (const Json& a : replayed.actions) {
     Json payload;
     if (a.Get("add", &payload)) {

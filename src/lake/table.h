@@ -73,7 +73,11 @@ class Table {
 
   /// The snapshot a replay of this table's log produced (its error, if
   /// the replay failed) — for callers that resolve several logs at once.
-  Result<Snapshot> SnapshotFrom(const ReplayTask& replayed) const;
+  /// The one materializer of the table log: a full replay builds the
+  /// snapshot from nothing, a catch-up (ReplayTask::caught_up) applies its
+  /// entries to `held`, the snapshot at ReplayTask::since.
+  Result<Snapshot> SnapshotFrom(const ReplayTask& replayed,
+                                const Snapshot* held = nullptr) const;
 
   /// Merges data files smaller than `small_file_bytes` into one file
   /// (dropping rows masked by deletion vectors). No-op if fewer than two

@@ -1,5 +1,6 @@
 #include "lake/txn_log.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdio>
 #include <map>
@@ -45,6 +46,9 @@ LogMetrics ResolveLogMetrics(obs::MetricsRegistry* registry) {
   m.replay_gets = registry->GetCounter("meta.replay_gets");
   m.tail_probes = registry->GetCounter("meta.tail_probes");
   m.truncated_reads = registry->GetCounter("meta.truncated_reads");
+  m.state_entries_applied =
+      registry->GetCounter("meta.state.entries_applied");
+  m.state_full_replays = registry->GetCounter("meta.state.full_replays");
   return m;
 }
 
@@ -183,9 +187,10 @@ struct TxnLog::TailProbe {
 struct TxnLog::Resolve {
   ReplayTask* task = nullptr;
   TxnLog* log = nullptr;
+  bool catch_up = false;  ///< Reads only (task->since, target].
   bool use_checkpoints = false;
   TailProbe tail;   ///< Wave 1, when the target is "latest".
-  Request pointer;  ///< Wave 1, when checkpoints are on.
+  Request pointer;  ///< Wave 1, when a full replay has checkpoints on.
   Version target = -1;
   /// The pointer as read; version -1 when absent or unreadable. A readable
   /// pointer tells "entry removed by retention" from "never committed".
@@ -201,12 +206,18 @@ struct TxnLog::Resolve {
     task = t;
     log = t->log;
     task->status = Status::OK();
+    task->replayed = -1;
+    task->caught_up = false;
     task->actions.clear();
     task->stats = ReplayStats();
-    use_checkpoints = log->use_checkpoints_.load(std::memory_order_relaxed);
     target = task->version;
+    catch_up = target < 0 && task->since >= 0;
+    use_checkpoints = !catch_up &&
+                      log->use_checkpoints_.load(std::memory_order_relaxed);
+    if (!catch_up) obs::Increment(log->metrics_.state_full_replays);
     if (target < 0) {
-      tail.Plan(log, log->tail_hint_.load(std::memory_order_relaxed), wave);
+      Version hint = log->tail_hint_.load(std::memory_order_relaxed);
+      tail.Plan(log, catch_up ? std::max(hint, task->since) : hint, wave);
     }
     if (use_checkpoints) {
       pointer = {log->store_, Request::Op::kGet,
@@ -227,6 +238,13 @@ struct TxnLog::Resolve {
         return;
       }
       target = latest.value();
+    }
+    if (catch_up) {
+      // Only the entries past the held state; none if the tail stayed.
+      target = std::max(target, task->since);
+      start = task->since + 1;
+      PlanEntries(start, wave);
+      return;
     }
     if (use_checkpoints) ChooseCheckpoint();
     if (pointed >= 0) {
@@ -326,6 +344,10 @@ struct TxnLog::Resolve {
         it = entries.find(v);
       }
       const Request& r = it->second;
+      if (r.status.IsNotFound() && catch_up) {
+        FallBack(io);
+        return;
+      }
       if (r.status.IsNotFound() && ptr.version >= 0 &&
           ptr.truncated_before > v) {
         obs::Increment(log->metrics_.truncated_reads);
@@ -343,6 +365,26 @@ struct TxnLog::Resolve {
     }
     log->NoteTail(target);
     task->replayed = target;
+    task->caught_up = catch_up;
+    if (catch_up) {
+      obs::Add(log->metrics_.state_entries_applied,
+               static_cast<uint64_t>(target - task->since));
+    }
+  }
+
+  /// A catch-up entry went to log retention: replays the latest state in
+  /// full instead, which the checkpoint that retention requires covers.
+  void FallBack(ThreadPool* io) {
+    ReplayTask full;
+    full.log = log;
+    ReplayAll({&full}, io);
+    task->status = std::move(full.status);
+    task->replayed = full.replayed;
+    task->caught_up = false;
+    task->actions = std::move(full.actions);
+    task->stats.entry_gets += full.stats.entry_gets;
+    task->stats.used_checkpoint = full.stats.used_checkpoint;
+    task->stats.checkpoint_version = full.stats.checkpoint_version;
   }
 };
 

@@ -255,21 +255,21 @@ void QueryEngine::RunWave(std::vector<std::shared_ptr<Request>>& wave) {
   obs::Add(metrics_.wave_queries, wave.size());
   obs::Record(metrics_.wave_size, wave.size());
 
-  // Pin the wave to one snapshot version: every member that asked for
-  // "latest" plans against the same metadata state, resolved once with
-  // hint-accelerated HEAD probes (one concurrent wave on the client's I/O
-  // executor) instead of per-query LISTs. Resolution failure (cold store
-  // hiccup, empty table) leaves members unpinned — Execute resolves latest
-  // itself, exactly as before.
-  lake::Version pinned = -1;
+  // Resolve both logs once for the wave: every member that asked for
+  // "latest" plans against this one state and issues no metadata request
+  // of its own — a steady-state wave costs two tail HEADs per log, in one
+  // concurrent round on the client's I/O executor. Resolution failure
+  // (cold store hiccup, empty table) leaves members unpinned — Execute
+  // resolves latest itself, exactly as before.
+  std::shared_ptr<const core::MetadataState> state;
   {
-    auto latest =
-        client_->table()->log().LatestVersion(client_->io_executor());
-    if (latest.ok()) pinned = latest.value();
+    auto resolved = client_->ResolveMetadata();
+    if (resolved.ok()) state = resolved.MoveValue();
   }
   for (auto& req : wave) {
-    if (pinned >= 0 && req->query.options.snapshot < 0) {
-      req->query.options.snapshot = pinned;
+    if (state != nullptr && req->query.options.snapshot < 0) {
+      req->query.options.snapshot = state->snapshot.version;
+      req->query.options.metadata = state;
       req->engine_pinned = true;
       stats_.pinned.fetch_add(1, std::memory_order_relaxed);
       obs::Increment(metrics_.pinned);
@@ -294,8 +294,8 @@ void QueryEngine::RunWave(std::vector<std::shared_ptr<Request>>& wave) {
     Result<core::QueryResponse> result = client_->Execute(wave[i]->query);
     if (!result.ok() && result.status().IsNotFound() &&
         wave[i]->engine_pinned) {
-      // The version the ENGINE pinned vanished mid-query (concurrent
-      // TruncateLog/Vacuum won the race). The caller asked for "latest",
+      // An object of the state the ENGINE pinned vanished mid-query (a
+      // concurrent Vacuum won the race). The caller asked for "latest",
       // so this is not their error — convert to typed retryable
       // Unavailable; a retry re-pins against the new latest.
       stats_.pin_conflicts.fetch_add(1, std::memory_order_relaxed);

@@ -35,14 +35,16 @@
 //     its OWN deadline (the earliest-deadline member cuts itself short
 //     while its wave-mates run on), and a failed shared fetch propagates
 //     per-query (failures are never ledger-cached).
-//   * SNAPSHOT PINNING: each wave resolves the table's latest version once
-//     (hint-accelerated HEAD probes, not a LIST) and pins every member
-//     that asked for "latest" (options.snapshot < 0) to it — wave-mates
-//     plan against one consistent metadata state, and a concurrent
-//     TruncateLog/Vacuum that removes the pinned version mid-query
-//     surfaces as typed retryable Unavailable ("pinned snapshot ...;
-//     retry"), never a spurious NotFound. Queries that pinned their own
-//     snapshot keep their typed NotFound contract.
+//   * SNAPSHOT PINNING: each wave resolves both logs once
+//     (Rottnest::ResolveMetadata: two tail HEADs per log in one round, and
+//     GETs only for entries committed since the client's held state) and
+//     hands that state to every member that asked for "latest"
+//     (options.snapshot < 0) through SearchOptions::metadata — wave-mates
+//     plan against one consistent metadata state with zero metadata
+//     requests of their own. A concurrent Vacuum that removes an object of
+//     the pinned state mid-query surfaces as typed retryable Unavailable
+//     ("pinned snapshot ...; retry"), never a spurious NotFound. Queries
+//     that pinned their own snapshot keep their typed NotFound contract.
 //
 // Execute() blocks the calling thread until its query completes — the
 // closed-loop serving model; thousands of callers may block concurrently.
@@ -114,9 +116,10 @@ struct EngineStats {
   std::atomic<uint64_t> failed{0};            ///< Completed with an error.
   std::atomic<uint64_t> waves{0};             ///< GET waves dispatched.
   std::atomic<uint64_t> wave_queries{0};      ///< Queries across all waves.
-  std::atomic<uint64_t> pinned{0};            ///< Snapshot pinned by engine.
-  std::atomic<uint64_t> pin_conflicts{0};     ///< Pinned version vanished
-                                              ///< mid-query (retryable).
+  std::atomic<uint64_t> pinned{0};            ///< State pinned by engine.
+  std::atomic<uint64_t> pin_conflicts{0};     ///< Pinned state's object
+                                              ///< vanished mid-query
+                                              ///< (retryable).
 };
 
 /// Pre-resolved `serve.<name>.*` metric handles (nullptr-safe).
@@ -180,9 +183,9 @@ class QueryEngine {
     core::Query query;
     Deadline deadline;
     Micros submitted_at = 0;
-    /// The engine pinned this query's snapshot (the query asked for
-    /// "latest"); a mid-flight NotFound then means concurrent retention/
-    /// vacuum removed the pinned version — converted to typed retryable
+    /// The engine pinned this query's metadata state (the query asked for
+    /// "latest"); a mid-flight NotFound then means a concurrent vacuum
+    /// removed an object of that state — converted to typed retryable
     /// Unavailable rather than surfaced as a spurious NotFound.
     bool engine_pinned = false;
     std::mutex mu;

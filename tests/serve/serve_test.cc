@@ -13,13 +13,19 @@
 //   * inside a wave each member keeps its OWN deadline, and a breaker-
 //     failed shared fetch propagates per-query (failures are never
 //     ledger-cached);
-//   * Shutdown fails queued queries typed Unavailable.
+//   * Shutdown fails queued queries typed Unavailable;
+//   * a steady-state wave resolves both logs with exactly four HEADs and
+//     no GET, a registry commit acknowledged before Submit is planned, and
+//     a Vacuum that removes the wave's objects mid-wave is a typed
+//     retryable Unavailable.
 // TSAN-relevant throughout: many submitter threads block on Execute while
 // the dispatcher and the shared pool complete them.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -572,6 +578,195 @@ TEST(ServeTest, ShutdownFailsQueuedQueriesTyped) {
   auto late = engine.Execute(Query::Uuid("uuid", w.UuidFor(3), 4));
   ASSERT_FALSE(late.ok());
   EXPECT_TRUE(late.status().IsUnavailable());
+}
+
+// ---------------------------------------------------------------------------
+// The per-wave metadata resolve.
+// ---------------------------------------------------------------------------
+
+/// Counts the physical requests that reach the transaction logs.
+struct MetadataRequests {
+  std::atomic<uint64_t> gets{0}, heads{0}, lists{0};
+
+  explicit MetadataRequests(InMemoryObjectStore* mem) {
+    mem->SetFailurePoint([this](const std::string& op,
+                                const std::string& key) {
+      if (key.find("/_log/") == std::string::npos &&
+          key.find("/_meta") == std::string::npos) {
+        return Status::OK();
+      }
+      if (op == "get") ++gets;
+      if (op == "head") ++heads;
+      if (op == "list") ++lists;
+      return Status::OK();
+    });
+  }
+};
+
+TEST(ServeTest, SteadyStateWaveMakesFourMetadataHeadsAndNoGets) {
+  for (size_t members : {1u, 4u, 8u}) {
+    ServeWorld w;
+    Rottnest client(&w.store, w.table.get(), w.Options(1 << 20));
+    w.Build(&client);
+    ServeOptions sopts;
+    sopts.batch_max = members;
+    sopts.start_paused = true;
+    QueryEngine engine(&client, sopts);
+    // The last Index committed after its own resolve: one wave catches up.
+    ASSERT_TRUE(client.ResolveMetadata().ok());
+    MetadataRequests meta(&w.mem);
+
+    std::vector<std::thread> threads;
+    std::atomic<uint64_t> failures{0}, traced_lists{0};
+    for (size_t i = 0; i < members; ++i) {
+      threads.emplace_back([&, i] {
+        objectstore::IoTrace trace;
+        SearchOptions opts;
+        opts.trace = &trace;
+        if (!engine.Execute(Query::Uuid("uuid", w.UuidFor(7 * i), 4, opts))
+                 .ok()) {
+          failures.fetch_add(1);
+        }
+        traced_lists.fetch_add(trace.total_lists());
+      });
+    }
+    WaitForQueueDepth(engine, members);
+    engine.Resume();
+    for (auto& th : threads) th.join();
+    engine.Shutdown();
+    EXPECT_EQ(failures.load(), 0u);
+    EXPECT_EQ(engine.stats().waves.load(), 1u) << members << " members";
+    EXPECT_EQ(engine.stats().pinned.load(), members);
+    EXPECT_EQ(meta.heads.load(), 4u) << members << " members";
+    EXPECT_EQ(meta.gets.load(), 0u) << members << " members";
+    EXPECT_EQ(meta.lists.load(), 0u) << members << " members";
+    // A member's trace records no metadata read: it made none.
+    EXPECT_EQ(traced_lists.load(), 0u) << members << " members";
+    w.mem.SetFailurePoint(nullptr);
+  }
+}
+
+TEST(ServeTest, RegistryCommitBeforeSubmitIsSeenByTheQuery) {
+  ServeWorld w;
+  Rottnest client(&w.store, w.table.get(), w.Options(1 << 20));
+  QueryEngine engine(&client, ServeOptions{});
+  workload::TextGenerator text(w.spec.seed);
+  const std::string pattern = text.SamplePattern(1);
+
+  auto before = engine.Execute(Query::Substring("body", pattern, 4));
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  EXPECT_EQ(before.value().result.stats.uncovered_files, 3u);
+  EXPECT_EQ(before.value().result.indexes_queried, 0u);
+
+  // Another client commits an index; the engine's client holds a state
+  // from before the commit and learns of it only from the log.
+  Rottnest writer(&w.store, w.table.get(), w.Options());
+  ASSERT_TRUE(writer.Index("body", IndexType::kFm).ok());
+
+  auto after = engine.Execute(Query::Substring("body", pattern, 4));
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(after.value().result.stats.uncovered_files, 0u);
+  EXPECT_EQ(after.value().result.indexes_queried, 1u);
+  EXPECT_EQ(after.value().result.files_scanned, 0u);
+  EXPECT_EQ(after.value().result.matches.size(),
+            before.value().result.matches.size());
+}
+
+/// Forwards to `inner` and runs `hook` once, before the first read of an
+/// index object after it is armed — the point where wave members have
+/// planned against the wave's state.
+class IndexReadHookStore : public objectstore::ObjectStore {
+ public:
+  explicit IndexReadHookStore(objectstore::ObjectStore* inner)
+      : inner_(inner) {}
+
+  Status Put(const std::string& key, Slice data) override {
+    return inner_->Put(key, data);
+  }
+  Status PutIfAbsent(const std::string& key, Slice data) override {
+    return inner_->PutIfAbsent(key, data);
+  }
+  Status Get(const std::string& key, Buffer* out) override {
+    MaybeFire(key);
+    return inner_->Get(key, out);
+  }
+  Status GetRange(const std::string& key, uint64_t offset, uint64_t length,
+                  Buffer* out) override {
+    MaybeFire(key);
+    return inner_->GetRange(key, offset, length, out);
+  }
+  Status Head(const std::string& key, objectstore::ObjectMeta* out) override {
+    return inner_->Head(key, out);
+  }
+  Status List(const std::string& prefix,
+              std::vector<objectstore::ObjectMeta>* out) override {
+    return inner_->List(prefix, out);
+  }
+  Status Delete(const std::string& key) override {
+    return inner_->Delete(key);
+  }
+  const Clock& clock() const override { return inner_->clock(); }
+  const IoStats& stats() const override { return inner_->stats(); }
+
+  std::function<void()> hook;
+  std::atomic<bool> armed{false};
+
+ private:
+  void MaybeFire(const std::string& key) {
+    if (key.rfind("idx/", 0) != 0) return;
+    std::lock_guard<std::mutex> lock(mu_);
+    if (armed.exchange(false)) hook();
+  }
+
+  objectstore::ObjectStore* inner_;
+  std::mutex mu_;
+};
+
+TEST(ServeTest, VacuumMidWaveIsATypedRetryablePinConflict) {
+  ServeWorld w;
+  IndexReadHookStore hooked(&w.store);
+  // No cache: every member read reaches the hooked store.
+  Rottnest client(&hooked, w.table.get(), w.Options());
+  ASSERT_TRUE(client.Index("body", IndexType::kFm).ok());
+  QueryEngine engine(&client, ServeOptions{});
+  workload::TextGenerator text(w.spec.seed);
+  const std::string pattern = text.SamplePattern(1);
+  auto warm = engine.Execute(Query::Substring("body", pattern, 4));
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+
+  // After the wave has resolved and planned: merge the data files, drop
+  // the index that covered them and delete every superseded object.
+  RottnestOptions wopts = w.Options();
+  wopts.index_timeout_micros = 1;
+  Rottnest writer(&w.store, w.table.get(), wopts);
+  hooked.hook = [&] {
+    auto compacted = w.table->CompactFiles(UINT64_MAX);
+    ASSERT_TRUE(compacted.ok()) << compacted.status().ToString();
+    w.clock.Advance(1'000'000);
+    auto vacuumed = writer.Vacuum(compacted.value());
+    ASSERT_TRUE(vacuumed.ok()) << vacuumed.status().ToString();
+    EXPECT_EQ(vacuumed.value().objects_deleted, 1u);
+    auto swept = w.table->Vacuum(/*retention_micros=*/0);
+    ASSERT_TRUE(swept.ok()) << swept.status().ToString();
+    EXPECT_EQ(swept.value(), 3u);
+  };
+  hooked.armed = true;
+  auto conflicted = engine.Execute(Query::Substring("body", pattern, 4));
+  ASSERT_FALSE(hooked.armed.load());
+  ASSERT_FALSE(conflicted.ok());
+  EXPECT_TRUE(conflicted.status().IsUnavailable())
+      << conflicted.status().ToString();
+  EXPECT_NE(conflicted.status().message().find("pinned snapshot"),
+            std::string::npos)
+      << conflicted.status().ToString();
+  EXPECT_EQ(engine.stats().pin_conflicts.load(), 1u);
+
+  // The retry re-pins to the new latest state and answers in full.
+  auto retried = engine.Execute(Query::Substring("body", pattern, 4));
+  ASSERT_TRUE(retried.ok()) << retried.status().ToString();
+  EXPECT_EQ(retried.value().result.matches.size(),
+            warm.value().result.matches.size());
+  EXPECT_EQ(engine.stats().pin_conflicts.load(), 1u);
 }
 
 }  // namespace
