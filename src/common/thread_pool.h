@@ -1,5 +1,7 @@
-// Fixed-size thread pool used for parallel index builds, parallel object
-// store reads ("width"), and brute-force scans.
+// Fixed-size thread pool. A Rottnest client owns two: the compute pool
+// (index fan-out and builds, decode, verify, brute-force scans), sized by
+// RottnestOptions::num_threads, and the I/O executor, whose 16 threads are
+// the object-store requests one wave keeps in flight ("width").
 #ifndef ROTTNEST_COMMON_THREAD_POOL_H_
 #define ROTTNEST_COMMON_THREAD_POOL_H_
 

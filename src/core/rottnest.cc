@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cctype>
 #include <cstdio>
+#include <locale>
 #include <map>
 #include <mutex>
 #include <regex>
@@ -32,6 +33,13 @@ using index::IndexType;
 using lake::DataFile;
 using lake::IndexEntry;
 using lake::Snapshot;
+
+/// Threads of the client's I/O executor: the requests one wave keeps in
+/// flight. A request holds its executor thread for its whole latency, and
+/// the width/depth model (§V-B) prices a wave as one round however wide, so
+/// this counts requests in flight, not cores, and is fixed apart from the
+/// compute pool's `RottnestOptions::num_threads`.
+constexpr size_t kIoExecutorThreads = 16;
 
 /// Views value `row` of a decoded column as raw bytes. The view is valid
 /// while `col` is alive and unmodified.
@@ -262,6 +270,20 @@ class RangeFilter {
   std::map<std::string, std::unique_ptr<format::FileReader>> readers_;
   std::map<std::pair<std::string, size_t>, format::ColumnVector> chunks_;
 };
+
+/// Compiles `pattern` into `re`. The regex scanner narrows each pattern
+/// character through the global locale's ctype<char>, whose narrow() fills
+/// a per-facet cache on first use without a lock: two queries compiling
+/// at once race on it (ThreadSanitizer reports it in libstdc++). The cache
+/// is filled once here, before the first compile, so compiles only read it.
+void CompileRegex(const std::string& pattern, std::regex* re) {
+  [[maybe_unused]] static const bool narrow_cache_filled = [] {
+    const auto& ctype = std::use_facet<std::ctype<char>>(std::locale());
+    for (int c = 0; c < 256; ++c) ctype.narrow(static_cast<char>(c), '\0');
+    return true;
+  }();
+  re->assign(pattern, std::regex::ECMAScript);
+}
 
 /// Extracts the longest literal run every match of an ECMAScript regex must
 /// contain, for FM-index location ("" when none is guaranteed). Only runs
@@ -691,7 +713,7 @@ Rottnest::Rottnest(objectstore::ObjectStore* store, lake::Table* table,
       options_(std::move(options)),
       metadata_(store, options_.index_dir),
       pool_(options_.num_threads),
-      io_(options_.num_threads) {
+      io_(kIoExecutorThreads) {
   if (options_.cache_bytes > 0) {
     objectstore::CacheOptions copts;
     copts.capacity_bytes = options_.cache_bytes;
@@ -1627,7 +1649,7 @@ Result<SearchResult> Rottnest::ExecRegex(const std::string& column,
   // <regex> throws on bad patterns; confine it here and convert to Status
   // (library code is otherwise exception-free).
   try {
-    re.assign(pattern, std::regex::ECMAScript);
+    CompileRegex(pattern, &re);
   } catch (const std::regex_error& e) {
     return Status::InvalidArgument(std::string("bad regex: ") + e.what());
   }

@@ -136,9 +136,9 @@ struct RottnestOptions {
   index::FmOptions fm;
   index::IvfPqOptions ivfpq;
   /// Threads of the client's compute pool (index fan-out, decode, verify,
-  /// builds) and, separately, of its I/O executor (ReadBatch waves and the
-  /// metadata-plane waves). Two pools of this size: a request blocked on
-  /// the store never holds a compute thread.
+  /// builds). Store requests run on a separate I/O executor of fixed width
+  /// (16 requests in flight, see io_executor()), so a request blocked on
+  /// the store never holds a compute thread and this sizes compute only.
   size_t num_threads = 8;
   /// Byte budget for the client-side read-through cache over index
   /// components, file footers and data pages (0 = caching off). Safe at any
@@ -472,7 +472,8 @@ class Rottnest {
   ThreadPool* pool() { return &pool_; }
 
   /// The client's I/O executor: store calls only (ReadBatch waves and the
-  /// metadata-plane waves). Sized like the compute pool; see IssueWave
+  /// metadata-plane waves). Its 16 threads are the requests one wave keeps
+  /// in flight, fixed apart from `num_threads`; see IssueWave
   /// (objectstore/read_batch.h).
   ThreadPool* io_executor() { return &io_; }
 

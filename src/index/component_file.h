@@ -76,7 +76,7 @@ class ComponentFileWriter {
  public:
   ComponentFileWriter(IndexType type, std::string column)
       : type_(type), column_(std::move(column)) {
-    file_.insert(file_.end(), kMagic, kMagic + 4);
+    for (char c : kMagic) file_.push_back(static_cast<uint8_t>(c));
   }
 
   /// Appends a component. Names must be unique. Uses LZ compression unless

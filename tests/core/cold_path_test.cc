@@ -10,7 +10,10 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <functional>
+#include <mutex>
 #include <regex>
 #include <set>
 #include <utility>
@@ -20,6 +23,7 @@
 #include "core/rottnest.h"
 #include "objectstore/fault_injection.h"
 #include "objectstore/object_store.h"
+#include "objectstore/read_batch.h"
 #include "objectstore/retry.h"
 
 namespace rottnest::core {
@@ -295,6 +299,52 @@ TEST(ColdPathTest, CountOverFilesWithDvsIsHeadFreeAndFlatInDepth) {
   // Plan (2 metadata rounds) + footer/DV round + chunk round, at any width.
   EXPECT_EQ(depths[0], 4u);
   EXPECT_EQ(depths[1], depths[0]);
+}
+
+// A wave's requests stay in flight together whatever the compute pool's
+// size: the client's I/O executor is sized by requests in flight, not by
+// num_threads. Each GET below is held until 16 are in flight at once; an
+// executor of num_threads threads reaches 3 (two threads plus the caller)
+// and gives up after the timeout instead of hanging.
+TEST(ColdPathTest, WaveKeepsSixteenRequestsInFlightAtTwoComputeThreads) {
+  constexpr size_t kWidth = 16;
+  SimulatedClock clock;
+  InMemoryObjectStore memory(&clock);
+  objectstore::FaultOptions latency;
+  latency.base_latency_micros = 1000;
+  objectstore::FaultInjectingStore store(&memory, latency);
+  std::mutex mu;
+  std::condition_variable cv;
+  size_t in_flight = 0, peak = 0;
+  bool released = false;
+  store.SetSleeper([&](Micros) {
+    std::unique_lock<std::mutex> lock(mu);
+    peak = std::max(peak, ++in_flight);
+    released = released || in_flight >= kWidth;
+    cv.notify_all();
+    cv.wait_for(lock, std::chrono::seconds(2), [&] { return released; });
+    released = true;  // After a timeout, let the rest through at once.
+    --in_flight;
+  });
+
+  auto table = Table::Create(&memory, "lake/w", MakeSchema()).MoveValue();
+  RottnestOptions options = Options();
+  options.num_threads = 2;
+  Rottnest client(&store, table.get(), options);
+  std::vector<objectstore::RangeRequest> requests;
+  for (size_t i = 0; i < kWidth + 4; ++i) {
+    const std::string key = "obj/" + std::to_string(i);
+    ASSERT_TRUE(memory.Put(key, Slice(key)).ok());
+    requests.push_back({key, 0, 0});
+  }
+  std::vector<Buffer> results;
+  ASSERT_TRUE(objectstore::ReadBatch(&store, requests, client.io_executor(),
+                                     nullptr, &results)
+                  .ok());
+  for (size_t i = 0; i < requests.size(); ++i) {
+    EXPECT_EQ(Slice(results[i]).ToString(), requests[i].key);
+  }
+  EXPECT_GE(peak, kWidth);
 }
 
 TEST(ColdPathTest, RepeatedSearchesIssueNoDeletionVectorGets) {

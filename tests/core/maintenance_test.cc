@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <set>
 #include <string>
 #include <utility>
@@ -489,11 +490,12 @@ TEST(MaintenanceConcurrencyTest, IndexCommitLandingDuringCompactCommutes) {
   // inside Compact: after it has chosen its inputs (the HEAD sizing pass),
   // before the merge/commit. The metadata log must serialize both commits.
   Rottnest concurrent(&store, table.get(), Options());
-  bool fired = false;
+  // The HEADs of one wave run on several executor threads: exactly one of
+  // them may fire.
+  std::atomic<bool> fired{false};
   store.SetFailurePoint(
       [&](const std::string& op, const std::string& key) -> Status {
-        if (op == "head" && !fired) {
-          fired = true;
+        if (op == "head" && !fired.exchange(true)) {
           auto r = concurrent.Index("body", IndexType::kFm);
           EXPECT_TRUE(r.ok()) << r.status().ToString();
           EXPECT_FALSE(r.value().index_path.empty());

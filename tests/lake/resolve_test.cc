@@ -283,7 +283,7 @@ class ResolveRoundsTest : public ::testing::Test {
     table_ = Table::Create(&recording_, "lake/r", BodySchema()).MoveValue();
     core::RottnestOptions options;
     options.index_dir = "idx/r";
-    options.num_threads = 8;  // Wave 1 of two logs holds 6 requests.
+    options.num_threads = 2;
     client_ = std::make_unique<core::Rottnest>(&recording_, table_.get(),
                                                options);
     for (int i = 0; i < 3; ++i) {
@@ -325,7 +325,7 @@ class ResolveRoundsTest : public ::testing::Test {
     for (int a = 0; a < attempts && best > 2; ++a) {
       core::RottnestOptions options;
       options.index_dir = "idx/r";
-      options.num_threads = 8;
+      options.num_threads = 2;
       core::Rottnest cold(&recording_, table_.get(), options);
       best = std::min(best, Rounds(&cold));
     }

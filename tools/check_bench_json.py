@@ -40,6 +40,16 @@ REQUIRED_KEYS = {
         "terms", "postings", "encoded_posting_bytes",
         "postings_compression_ratio",
     ],
+    # The cache bench must carry the cold and hot sides of its latency and
+    # request comparison and the fan-out depths.
+    "BENCH_cache.json": [
+        "files", "rows_per_file", "queries",
+        "cold_ms_per_query", "cold_physical_gets_per_query",
+        "hot_ms_per_query", "hot_cache_hits_per_query",
+        "hot_cache_misses_per_query", "hot_index_component_gets_per_query",
+        "hot_metadata_gets_per_query",
+        "depth_single_index", "depth_fanout", "depth_serial_projection",
+    ],
 }
 
 # Acceptance gates re-checked from the committed artifact (the bench binary
@@ -79,7 +89,19 @@ def check_keyword_gates(path: str, doc: dict) -> list:
     return problems
 
 
+def check_cache_gates(path: str, doc: dict) -> list:
+    # A hot query is answered from the cache and the client's held metadata
+    # state: it reads no index component and no log object from the store.
+    problems = []
+    for key in ("hot_index_component_gets_per_query",
+                "hot_metadata_gets_per_query"):
+        if doc.get(key) != 0:
+            problems.append(f"{key} {doc.get(key)} != 0")
+    return problems
+
+
 GATE_CHECKS = {
+    "BENCH_cache.json": check_cache_gates,
     "BENCH_serve.json": check_serve_gates,
     "BENCH_metadata.json": check_metadata_gates,
     "BENCH_keyword.json": check_keyword_gates,
